@@ -70,12 +70,16 @@ def _checks_section(checks) -> list[str]:
     return lines
 
 
-def generate_report(runner: ExperimentRunner, *, scale: float) -> str:
-    """One Markdown document with every experiment's measured numbers."""
+def generate_report(runner: ExperimentRunner, *, workload: str) -> str:
+    """One Markdown document with every experiment's measured numbers.
+
+    ``workload`` names what the runner's suite was built from, e.g.
+    ``scale 1.0`` or ``store DIR``."""
     parts: list[str] = [
         "# Reproduction report (generated)",
         "",
-        f"Workload scale: {scale} (1.0 = the paper's Table 1 magnitudes).",
+        f"Workload: {workload} (scale 1.0 = the paper's Table 1 "
+        "magnitudes).",
         "All numbers measured by this run; paper values inline.",
         "",
         "## Table 1 — applications",

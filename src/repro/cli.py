@@ -137,6 +137,14 @@ def _runner(args, applications: Optional[tuple[str, ...]] = None):
     return runner
 
 
+def _workload_label(args) -> str:
+    """The workload a suite command ran on: ``store DIR`` for a
+    store-backed run (where ``--scale`` is ignored), else ``scale S``."""
+    if getattr(args, "store", None):
+        return f"store {args.store}"
+    return f"scale {args.scale}"
+
+
 def _cmd_reproduce(args) -> int:
     runner = _runner(args)
     print(render_table1(build_table1(runner)))
@@ -167,7 +175,7 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_report(args) -> int:
     runner = _runner(args)
-    document = generate_report(runner, scale=args.scale)
+    document = generate_report(runner, workload=_workload_label(args))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as stream:
             stream.write(document)
@@ -180,7 +188,7 @@ def _cmd_report(args) -> int:
 def _cmd_figure(args) -> int:
     runner = _runner(args)
     number = args.number
-    title = f"Figure {number} (measured, scale {args.scale})"
+    title = f"Figure {number} (measured, {_workload_label(args)})"
     if number == 8:
         figure = build_fig8(runner)
         if args.svg:
@@ -240,7 +248,7 @@ def _cmd_simulate(args) -> int:
     recorder = TraceRecorder() if args.trace_out else None
     result = runner.run_global(args.app, args.predictor, tracer=recorder)
     stats = result.stats
-    print(f"{args.app} x {result.predictor} (scale {args.scale}, "
+    print(f"{args.app} x {result.predictor} ({_workload_label(args)}, "
           f"{result.executions} executions)")
     print(f"  disk accesses      : {result.total_disk_accesses}")
     print(f"  idle periods       : {stats.opportunities}")
@@ -273,7 +281,7 @@ def _cmd_trace(args) -> int:
     )
     stats = result.stats
     title = (f"{args.app} x {result.predictor} decision timeline "
-             f"(scale {args.scale}, {result.executions} executions)")
+             f"({_workload_label(args)}, {result.executions} executions)")
     print(render_timeline(recorder.events, limit=args.limit, title=title))
     print()
     print(render_trace_summary(recorder.counts()))
@@ -508,13 +516,12 @@ def _cmd_run(args) -> int:
         multistate=args.multistate,
         policy=policy,
         checkpoint=checkpoint,
-        fused=args.fused,
     )
     fused_active = runner._fused_eligible(
-        args.fused, mode="global", multistate=args.multistate
+        mode="global", multistate=args.multistate
     )
     print(f"resilient run: {len(predictors)} predictor(s) × "
-          f"{len(apps)} application(s), scale {args.scale}"
+          f"{len(apps)} application(s), {_workload_label(args)}"
           + (" [fused]" if fused_active else ""))
     print(_render_run_results(report.matrix))
     print()
@@ -557,12 +564,9 @@ def _cmd_fleet(args) -> int:
         resilience=policy,
         checkpoint=checkpoint,
     )
-    workload = (
-        f"store {args.store}" if args.store else f"scale {args.scale}"
-    )
     print(f"fleet run: {len(devices)} device(s) over {len(apps)} "
           f"application(s), {len(predictors)} predictor lane(s), "
-          f"{args.tables} tables, {workload}")
+          f"{args.tables} tables, {_workload_label(args)}")
     print(result.render(percentiles))
     if args.per_device:
         print()
@@ -701,8 +705,8 @@ def _cmd_faults(args) -> int:
         }
         check(
             "run completed with a full ledger",
-            len(ledger.outcomes)
-            == len(predictors) * len(baseline_runner.applications),
+            len(ledger.outcomes) == len(baseline_runner.applications),
+            f"{len(ledger.outcomes)} cell(s), one per application",
         )
         check(
             "terminally faulted cells reported as failures",
@@ -968,12 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=argparse.SUPPRESS,
                    help="inject faults per SPEC (see repro.faults; "
                         "$REPRO_FAULT_PLAN works for every command)")
-    p.add_argument("--fused", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="evaluate all predictors in one streaming pass "
-                        "per application (bit-identical results, one "
-                        "cell per app; default: $REPRO_FUSED). "
-                        "--no-fused forces the per-cell path")
     add_scale(p)
     p.set_defaults(fn=_cmd_run)
 

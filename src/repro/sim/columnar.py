@@ -133,9 +133,7 @@ class ColumnarTape:
     the trailing-gap state exactly like the historical tuple tape.
 
     Tapes are built by :func:`repro.sim.engine.build_replay_tape` and
-    replayed by :mod:`repro.sim.fused` — the constant-intent and
-    omniscient lanes read the columns directly as whole-tape array
-    programs, while the generic per-process lane iterates
+    replayed by :mod:`repro.sim.fused`, whose lanes iterate
     :meth:`replay_views`.  Tapes pickle compactly (the memoized views
     and the bound access stream are dropped), which is what lets the
     artifact cache persist them per
@@ -145,13 +143,11 @@ class ColumnarTape:
     __slots__ = _TAPE_ARRAY_FIELDS + _TAPE_SCALAR_FIELDS + (
         "_accesses",
         "_views",
-        "_gap_memo",
     )
 
     def __init__(self) -> None:
         self._accesses = None
         self._views = None
-        self._gap_memo = None
 
     def __len__(self) -> int:
         return len(self.op)
@@ -172,7 +168,6 @@ class ColumnarTape:
             setattr(self, name, state[name])
         self._accesses = None
         self._views = None
-        self._gap_memo = None
 
     def bind_accesses(self, accesses: Sequence["DiskAccess"]) -> None:
         """Attach the filtered access stream the tape was built from.
@@ -186,30 +181,6 @@ class ColumnarTape:
         if self._accesses is not accesses:
             self._accesses = accesses
             self._views = None
-
-    def gap_columns(self) -> dict:
-        """Gap-sliced column views shared by the vectorized lanes
-        (memoized): the :data:`TAPE_GAP` positions, their per-gap
-        scalars, and the full-length ``simple_idle`` contribution
-        stream."""
-        memo = self._gap_memo
-        if memo is None:
-            op = self.op
-            gp = np.flatnonzero(op == TAPE_GAP)
-            memo = {
-                "gp": gp,
-                "busy_until": self.busy_until[gp],
-                "gap_end": self.gap_end[gp],
-                "gap_length": self.gap_length[gp],
-                "idle_full": self.idle_full[gp],
-                "long": self.long_period[gp],
-                "record": self.record[gp],
-                "simple_idle": np.where(
-                    op == TAPE_SIMPLE, self.idle_full, 0.0
-                ),
-            }
-            self._gap_memo = memo
-        return memo
 
     def replay_views(self) -> list:
         """Per-step tuples for the loop lanes (memoized).

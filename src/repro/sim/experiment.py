@@ -25,7 +25,7 @@ from repro.cache.filter import FilterResult, filter_execution
 from repro.disk.energy import EnergyBreakdown, sum_breakdowns
 from repro.errors import SimulationError
 from repro.predictors.registry import PredictorSpec, make_spec
-from repro.config import SimulationConfig, resolve_fused
+from repro.config import SimulationConfig
 from repro.sim.engine import evaluate_local_stream, run_global_execution
 from repro.sim.metrics import PredictionStats
 from repro.sim.tracing import SimTraceEvent, TraceRecorder, Tracer
@@ -418,19 +418,17 @@ class ExperimentRunner:
         *,
         mode: str = "global",
         applications: Optional[Sequence[str]] = None,
-        fused: Optional[bool] = None,
     ) -> dict[str, dict[str, ApplicationResult]]:
         """``{application: {predictor: result}}`` for a whole figure.
 
-        ``fused`` (``None`` defers to ``REPRO_FUSED``) evaluates all
-        global-mode predictors in one streaming pass per application
-        (:mod:`repro.sim.fused`) with bit-identical results; local-mode
-        and tracing runs always take the per-cell path.
+        Global-mode predictors are evaluated in one streaming pass per
+        application (:mod:`repro.sim.fused`); local-mode and tracing
+        runs take the per-cell path.  Results are identical either way.
         """
         if mode not in ("global", "local"):
             raise ValueError(f"unknown mode {mode!r}")
         apps = list(applications) if applications else self.applications
-        if resolve_fused(fused) and mode == "global" and not self.tracing:
+        if mode == "global" and not self.tracing:
             from repro.sim.fused import run_fused_application
 
             names = list(predictors)

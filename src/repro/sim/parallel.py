@@ -342,22 +342,20 @@ class ParallelExperimentRunner(ExperimentRunner):
         applications: Optional[Sequence[str]] = None,
         multistate: bool = False,
         jobs: Optional[int] = None,
-        fused: Optional[bool] = None,
     ) -> dict[str, dict[str, ApplicationResult]]:
         """``{application: {predictor: result}}`` over a worker pool;
         bit-identical to the serial :class:`ExperimentRunner` matrix.
 
-        ``fused`` (``None`` defers to ``REPRO_FUSED``) decomposes by
-        application instead of (application × predictor): each cell
-        decodes its trace once and evaluates every predictor against it
-        (:mod:`repro.sim.fused`), with bit-identical results.  Local
-        mode, multistate, and tracing runs keep the classic cells.
+        Global-mode runs decompose by application: each cell decodes its
+        trace once and evaluates every predictor against it
+        (:mod:`repro.sim.fused`).  Local mode, multistate, and tracing
+        runs use one cell per (application × predictor).
         """
         if mode not in ("global", "local"):
             raise ValueError(f"unknown mode {mode!r}")
         apps = list(applications) if applications else self.applications
         names = list(predictors)
-        if self._fused_eligible(fused, mode=mode, multistate=multistate):
+        if self._fused_eligible(mode=mode, multistate=multistate):
             return self._run_matrix_fused(names, apps, jobs=jobs)
         cells = [
             ExperimentCell(
@@ -399,7 +397,6 @@ class ParallelExperimentRunner(ExperimentRunner):
         jobs: Optional[int] = None,
         policy=None,
         checkpoint=None,
-        fused: Optional[bool] = None,
     ):
         """A matrix run that survives crashed, hung, or failing cells.
 
@@ -413,7 +410,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         re-runs.  On the all-success path the matrix is bit-identical
         to :meth:`run_matrix`.
 
-        With ``fused``, retries/checkpoints apply per fused cell (one
+        In global mode, retries/checkpoints apply per fused cell (one
         per application, spanning every predictor); checkpoint keys
         embed the variant-set fingerprint, so adding or removing a
         predictor never resumes from stale journal entries.  A failed
@@ -425,7 +422,7 @@ class ParallelExperimentRunner(ExperimentRunner):
             raise ValueError(f"unknown mode {mode!r}")
         apps = list(applications) if applications else self.applications
         names = list(predictors)
-        if self._fused_eligible(fused, mode=mode, multistate=multistate):
+        if self._fused_eligible(mode=mode, multistate=multistate):
             return self._run_matrix_fused(
                 names,
                 apps,
@@ -485,17 +482,13 @@ class ParallelExperimentRunner(ExperimentRunner):
             row[item.cell.predictor] = item.result
         return MatrixReport(matrix=matrix, ledger=ledger)
 
-    def _fused_eligible(
-        self, fused: Optional[bool], *, mode: str, multistate: bool
-    ) -> bool:
-        """Whether this matrix run should take the fused path."""
-        from repro.config import resolve_fused
+    def _fused_eligible(self, *, mode: str, multistate: bool) -> bool:
+        """Whether this matrix run takes the fused path (every untraced,
+        three-state, global-mode run does)."""
         from repro.sim.fused import fused_supported
 
-        return (
-            resolve_fused(fused)
-            and mode == "global"
-            and fused_supported(self, multistate=multistate)
+        return mode == "global" and fused_supported(
+            self, multistate=multistate
         )
 
     def _run_matrix_fused(

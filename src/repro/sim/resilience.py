@@ -73,10 +73,12 @@ from repro.sim.parallel import (
 #: job: one worker crash that exhausts every retry (a terminal cell
 #: failure), one hung cell recovered by the timeout+retry path, one
 #: corrupted artifact-cache entry recovered by quarantine+recompute, and
-#: one malformed trace line surfacing a parse error.
+#: one malformed trace line surfacing a parse error.  The scenario's
+#: matrix runs one fused cell per application, so both cell indices
+#: address the six-application suite.
 CANNED_CHAOS_PLAN = (
     "worker.crash,cell=3,attempts=99;"
-    "worker.hang,cell=7,seconds=15;"
+    "worker.hang,cell=5,seconds=15;"
     "cache.corrupt-read,at=1;"
     "trace.malformed-line,at=5"
 )
@@ -413,11 +415,23 @@ class CellCheckpoint:
                     f"{key}: checkpoint has {old!r}, this run has {new!r}"
                     for key, (old, new) in mismatched.items()
                 )
+                if mismatched.get("fused") == (False, True):
+                    # Per-cell journals of untraced three-state global
+                    # runs predate the fused default; no option of this
+                    # run can reproduce their decomposition.
+                    advice = (
+                        "its cells are per-predictor, and global-mode "
+                        "runs now use one fused cell per application; "
+                        "start a fresh checkpoint file"
+                    )
+                else:
+                    advice = (
+                        "resume with a matching configuration or start "
+                        "a fresh checkpoint file"
+                    )
                 raise CheckpointError(
                     f"checkpoint {self.path} was written by an "
-                    f"incompatible run ({detail}); resume with a "
-                    "matching configuration or start a fresh checkpoint "
-                    "file"
+                    f"incompatible run ({detail}); {advice}"
                 )
             # Same shape: keep the journal's header, nothing to rewrite.
             return

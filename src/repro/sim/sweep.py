@@ -7,12 +7,15 @@ that loop; the configuration is varied either by rebuilding the
 :class:`~repro.config.SimulationConfig` (sharing the cache-filtering
 work when possible) or by supplying a custom spec factory per point.
 
-A sweep decomposes into independent (point × application) cells —
-including one ``Base`` baseline cell per *distinct* (baseline-relevant
-configuration × application) pair, computed once and reused by every
-point whose disk/cache/service-time fields agree (predictor knobs like
-the wait window never affect the always-on baseline) — and executes
-them through
+A sweep over specs under one configuration runs one fused cell per
+application (:func:`repro.sim.fused.run_fused_cells`): every point's
+predictor and the ``Base`` baseline replay one shared tape.  A sweep
+that rebuilds the configuration per point decomposes into independent
+(point × application) cells — including one ``Base`` baseline cell per
+*distinct* (baseline-relevant configuration × application) pair,
+computed once and reused by every point whose disk/cache/service-time
+fields agree (predictor knobs like the wait window never affect the
+always-on baseline) — and executes them through
 :func:`repro.sim.parallel.execute_cells`.  With ``jobs`` > 1 the cells
 run on a process pool; the fold over per-cell results is in fixed cell
 order either way, so parallel sweeps are bit-identical to serial ones.
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
-from repro.config import SimulationConfig, resolve_fused
+from repro.config import SimulationConfig
 from repro.predictors.registry import PredictorSpec
 from repro.sim.experiment import ApplicationResult, ExperimentRunner
 from repro.sim.metrics import PredictionStats
@@ -83,7 +86,6 @@ def sweep(
     progress: Optional[ProgressHook] = None,
     resilience=None,
     checkpoint=None,
-    fused: Optional[bool] = None,
 ) -> list[SweepPoint]:
     """Run one predictor across the suite for each parameter value.
 
@@ -109,26 +111,19 @@ def sweep(
     the cell label) and the point's full configuration, so a changed
     sweep never resumes from stale entries.
 
-    ``fused`` (``None`` defers to the ``REPRO_FUSED`` environment
-    variable) evaluates every point's predictor — and the shared Base
-    baseline — in one streaming pass per application via
-    :mod:`repro.sim.fused` instead of one cell per (point ×
-    application).  Results are bit-identical either way; fused is
-    purely an execution strategy.  Sweeps that rebuild the
-    configuration per point (``make_config``) or record structured
-    traces replay the trace per variant anyway, so they keep the
-    classic decomposition regardless of ``fused``.
+    Every point's predictor — and the shared Base baseline — is
+    evaluated in one streaming pass per application via
+    :mod:`repro.sim.fused`.  Sweeps that rebuild the configuration per
+    point (``make_config``) or record structured traces replay the trace
+    per variant anyway, so they use one cell per (point × application).
+    Results are identical either way.
     """
     if make_config is not None and make_spec is not None:
         raise ValueError("pass make_config or make_spec, not both")
     apps = list(applications) if applications else runner.applications
     point_values = list(values)
 
-    if (
-        resolve_fused(fused)
-        and make_config is None
-        and not runner.tracing
-    ):
+    if make_config is None and not runner.tracing:
         return _sweep_fused(
             runner,
             point_values,

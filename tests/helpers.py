@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Iterable, Sequence
 
 from repro.cache.filter import DiskAccess
@@ -122,3 +123,39 @@ def two_process_execution(
     ).sorted()
     execution.validate()
     return execution
+
+
+def canonical(value) -> object:
+    """A JSON-able form of a result with every float as ``float.hex``."""
+    if dataclasses.is_dataclass(value):
+        return {
+            field.name: canonical(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        }
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [canonical(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): canonical(item) for key, item in value.items()}
+    return value
+
+
+def per_cell_matrix(
+    runner, names, applications=None, *, mode="global", multistate=False
+):
+    """``{application: {name: result}}`` through the per-cell reference
+    path: one ``run_global`` (or ``run_local``) simulation per cell."""
+    apps = applications or runner.applications
+    if mode == "local":
+        return {
+            app: {name: runner.run_local(app, name) for name in names}
+            for app in apps
+        }
+    return {
+        app: {
+            name: runner.run_global(app, name, multistate=multistate)
+            for name in names
+        }
+        for app in apps
+    }

@@ -136,6 +136,37 @@ def test_user_errors_are_one_line_not_tracebacks(capsys, tmp_path):
     assert "scale must be positive" in err
 
 
+def test_store_backed_commands_name_the_store_not_the_scale(
+    capsys, tmp_path
+):
+    """With --store the --scale default is unused, so headers and
+    titles must name the store instead of printing a made-up scale."""
+    store = str(tmp_path / "store")
+    code, _, _ = run_cli(
+        capsys, "trace", "pack", "--out", store, "--scale", "0.1",
+        "--app", "nedit",
+    )
+    assert code == 0
+    commands = (
+        ("run", "--predictor", "TP", "--app", "nedit"),
+        ("simulate", "--app", "nedit", "--predictor", "TP"),
+        ("trace", "--app", "nedit", "--predictor", "TP", "--limit", "1"),
+        ("figure", "7"),
+        ("fleet", "--devices", "2", "--app", "nedit"),
+    )
+    for argv in commands:
+        code, out, _ = run_cli(capsys, *argv, "--store", store)
+        assert code == 0, argv
+        assert f"store {store}" in out, argv
+        assert "scale 0.5" not in out, argv
+    report = tmp_path / "report.md"
+    code, _, _ = run_cli(
+        capsys, "report", "--store", store, "--out", str(report)
+    )
+    assert code == 0
+    assert f"Workload: store {store}" in report.read_text()
+
+
 def test_trace_subcommand(capsys, tmp_path):
     out_file = tmp_path / "timeline.jsonl"
     code, out, _ = run_cli(

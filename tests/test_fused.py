@@ -2,12 +2,13 @@
 
 The contract under test: the fused kernel is *purely an execution
 strategy* — for every registered predictor, every entry point
-(``run_fused_application``, the fused ``sweep()`` path, the fused
-matrix), and every execution substrate (serial, fork pool, store-backed
-streaming traces, the resilient executor with injected worker crashes),
-its results are bit-identical to the classic one-simulation-per-cell
-path.  The kernel earns its keep on speed and memory, never on changed
-numbers.
+(``run_fused_application``, ``sweep()``, the matrix), and every
+execution substrate (serial, fork pool, store-backed streaming traces,
+the resilient executor with injected worker crashes), its results are
+bit-identical to the classic one-simulation-per-cell reference
+(``run_global`` per cell, or the per-cell sweep decomposition a tracing
+runner takes).  The kernel earns its keep on speed and memory, never on
+changed numbers.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from repro.sim.resilience import ResiliencePolicy
 from repro.sim.sweep import sweep
 from repro.workloads import build_suite, pack_generated
 
+from .helpers import per_cell_matrix
+
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="pool path needs the fork start method"
 )
@@ -65,6 +68,18 @@ def _clean_fault_state():
 def runner(config):
     return ExperimentRunner(
         build_suite(scale=0.25, applications=APPS), config
+    )
+
+
+@pytest.fixture(scope="module")
+def traced_runner(config):
+    """Runs sweeps through the per-cell decomposition (tracing runners
+    never take the fused path); the reference for the sweep tests."""
+    return ExperimentRunner(
+        build_suite(scale=0.25, applications=APPS),
+        config,
+        tracing=True,
+        trace_capacity=1,
     )
 
 
@@ -118,19 +133,19 @@ def test_fused_supported_excludes_multistate(runner):
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_fused_matches_classic(runner):
+def test_sweep_fused_matches_classic(runner, traced_runner):
     values = (0.5, 2.0, 10.0)
 
     def timeout_spec(value, cfg):
         return tp_spec(cfg, timeout=value, name=f"TP({value:g}s)")
 
     kwargs = dict(make_spec=timeout_spec, applications=APPS, jobs=1)
-    fused = sweep(runner, values, fused=True, **kwargs)
-    classic = sweep(runner, values, fused=False, **kwargs)
+    fused = sweep(runner, values, **kwargs)
+    classic = sweep(traced_runner, values, **kwargs)
     assert fused == classic
 
 
-def test_sweep_fused_named_predictors(runner):
+def test_sweep_fused_named_predictors(runner, traced_runner):
     """Sweeping registry names (the Figure-7 shape) is fused-eligible
     and identical, including the shared Base baseline per point."""
     names = ("TP", "PCAP", "PCAPfh")
@@ -139,15 +154,14 @@ def test_sweep_fused_named_predictors(runner):
         applications=APPS,
         jobs=1,
     )
-    fused = sweep(runner, names, fused=True, **kwargs)
-    classic = sweep(runner, names, fused=False, **kwargs)
+    fused = sweep(runner, names, **kwargs)
+    classic = sweep(traced_runner, names, **kwargs)
     assert fused == classic
 
 
 def test_matrix_fused_matches_classic_serial(parallel_runner):
-    kwargs = dict(applications=APPS, jobs=1)
-    fused = parallel_runner.run_matrix(MATRIX_NAMES, fused=True, **kwargs)
-    classic = parallel_runner.run_matrix(MATRIX_NAMES, fused=False, **kwargs)
+    fused = parallel_runner.run_matrix(MATRIX_NAMES, applications=APPS, jobs=1)
+    classic = per_cell_matrix(parallel_runner, MATRIX_NAMES, APPS)
     assert fused == classic
     # Rows are keyed by the *requested* registry names, like classic.
     assert set(fused["mozilla"]) == set(MATRIX_NAMES)
@@ -156,18 +170,14 @@ def test_matrix_fused_matches_classic_serial(parallel_runner):
 @needs_fork
 def test_matrix_fused_matches_classic_pooled(parallel_runner):
     fused = parallel_runner.run_matrix(
-        MATRIX_NAMES, applications=APPS, jobs=2, fused=True
+        MATRIX_NAMES, applications=APPS, jobs=2
     )
-    classic = parallel_runner.run_matrix(
-        MATRIX_NAMES, applications=APPS, jobs=1, fused=False
-    )
-    assert fused == classic
+    assert fused == per_cell_matrix(parallel_runner, MATRIX_NAMES, APPS)
 
 
 def test_serial_runner_matrix_fused(runner):
-    fused = runner.run_matrix(MATRIX_NAMES, applications=APPS, fused=True)
-    classic = runner.run_matrix(MATRIX_NAMES, applications=APPS, fused=False)
-    assert fused == classic
+    fused = runner.run_matrix(MATRIX_NAMES, applications=APPS)
+    assert fused == per_cell_matrix(runner, MATRIX_NAMES, APPS)
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +215,22 @@ def test_resilient_fused_survives_worker_crash(parallel_runner):
             applications=APPS,
             jobs=2,
             policy=QUICK,
-            fused=True,
         )
     assert report.complete
     assert [e.kind for e in report.ledger.retries] == ["crash"]
-    classic = parallel_runner.run_matrix(
-        MATRIX_NAMES, applications=APPS, jobs=1, fused=False
+    assert report.matrix == per_cell_matrix(
+        parallel_runner, MATRIX_NAMES, APPS
     )
-    assert report.matrix == classic
 
 
 @needs_fork
 def test_resilient_fused_all_success_path(parallel_runner):
     report = parallel_runner.run_matrix_resilient(
-        MATRIX_NAMES, applications=APPS, jobs=2, policy=QUICK, fused=True
+        MATRIX_NAMES, applications=APPS, jobs=2, policy=QUICK
     )
     assert report.complete
-    assert report.matrix == parallel_runner.run_matrix(
-        MATRIX_NAMES, applications=APPS, jobs=1, fused=False
+    assert report.matrix == per_cell_matrix(
+        parallel_runner, MATRIX_NAMES, APPS
     )
 
 

@@ -47,6 +47,8 @@ from repro.sim.resilience import ResiliencePolicy
 from repro.workloads import build_suite, pack_generated
 from repro.workloads.extremes import build_clockwork
 
+from .helpers import per_cell_matrix
+
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="pool path needs the fork start method"
 )
@@ -230,13 +232,11 @@ def test_learned_resilient_crash_retry_identical(parallel_runner):
     plan = FaultPlan([FaultSpec(site="worker.crash", cell=0, attempts=1)])
     with faults.injected(plan):
         report = parallel_runner.run_matrix_resilient(
-            LEARNED, applications=APPS, jobs=2, policy=QUICK, fused=True
+            LEARNED, applications=APPS, jobs=2, policy=QUICK
         )
     assert report.complete
     assert [e.kind for e in report.ledger.retries] == ["crash"]
-    assert report.matrix == parallel_runner.run_matrix(
-        LEARNED, applications=APPS, jobs=1, fused=False
-    )
+    assert report.matrix == per_cell_matrix(parallel_runner, LEARNED, APPS)
 
 
 # ---------------------------------------------------------------------------

@@ -588,7 +588,10 @@ def test_chaos_scenario_partial_suite_bit_identical(small_suite):
     every healthy cell is bit-identical to a fault-free serial run."""
     runner = ParallelExperimentRunner(small_suite, SimulationConfig())
     predictors = ["TP", "PCAP"]
-    baseline = runner.run_matrix(predictors, applications=APPS, jobs=1)
+    # Global matrices run one fused cell per application, so cell i is
+    # the i-th application's whole row.
+    apps = APPS + ("nedit",)
+    baseline = runner.run_matrix(predictors, applications=apps, jobs=1)
     plan = FaultPlan([
         FaultSpec(site="worker.fail", cell=1, attempts=99),
         FaultSpec(site="worker.fail", cell=2, attempts=1),
@@ -596,19 +599,20 @@ def test_chaos_scenario_partial_suite_bit_identical(small_suite):
     policy = ResiliencePolicy(max_attempts=2, base_delay=0.001)
     with faults.injected(plan):
         report = runner.run_matrix_resilient(
-            predictors, applications=APPS, jobs=1, policy=policy
+            predictors, applications=apps, jobs=1, policy=policy
         )
     (failure,) = report.ledger.failures
     assert failure.cell.index == 1
     assert len(failure.attempts) == 2
     assert not report.complete
     # Cell 2 recovered after its transient fault; cell 1 is absent.
+    assert sorted(report.matrix) == sorted((apps[0], apps[2]))
     healthy = 0
     for application, row in report.matrix.items():
         for name, result in row.items():
             assert result == baseline[application][name]
             healthy += 1
-    assert healthy == len(APPS) * len(predictors) - 1
+    assert healthy == (len(apps) - 1) * len(predictors)
 
 
 # ---------------------------------------------------------------------------
@@ -688,36 +692,66 @@ def test_legacy_headerless_journal_resumes(tmp_path):
 
 
 def test_fused_journal_refuses_classic_resume(small_suite, tmp_path):
-    # End-to-end through run_matrix_resilient: a --fused checkpoint
-    # resumed by a --no-fused run (or vice versa) fails loudly instead
-    # of mixing per-lane-list entries with per-predictor entries.
-    path = tmp_path / "fused.ckpt"
+    # A journal of per-predictor cells — what a default global run wrote
+    # before every global matrix took the fused path — must fail loudly
+    # on resume instead of mixing per-predictor entries into fused
+    # cells, and must say that only a fresh checkpoint file helps.
+    path = tmp_path / "classic.ckpt"
     runner = ParallelExperimentRunner(small_suite, SimulationConfig())
-    runner.run_matrix_resilient(["TP", "Base"], applications=APPS,
-                                fused=True, checkpoint=path)
-    with pytest.raises(CheckpointError, match="incompatible run"):
-        runner.run_matrix_resilient(["TP", "Base"], applications=APPS,
-                                    fused=False, checkpoint=path)
+    names = ["TP", "Base"]
+    cells = [
+        ExperimentCell(index=index, application=app, predictor=name)
+        for index, (app, name) in enumerate(
+            (app, name) for app in APPS for name in names
+        )
+    ]
+    run_cells(
+        cells,
+        lambda cell: runner.run_global(cell.application, cell.predictor),
+        jobs=1,
+        checkpoint=path,
+        cell_keys=[
+            cell_key(runner.fingerprint(cell.application), cell.predictor,
+                     runner.config, mode="global", multistate=False)
+            for cell in cells
+        ],
+        provenance={"fused": False, "mode": "global", "multistate": False},
+    )
+    with pytest.raises(CheckpointError,
+                       match="start a fresh checkpoint file") as excinfo:
+        runner.run_matrix_resilient(names, applications=APPS,
+                                    checkpoint=path)
+    assert "matching configuration" not in str(excinfo.value)
+
+    # A fused journal refuses a classic (multistate) resume, where a
+    # matching configuration does exist.
+    fused_path = tmp_path / "fused.ckpt"
+    runner.run_matrix_resilient(names, applications=APPS,
+                                checkpoint=fused_path)
+    with pytest.raises(CheckpointError, match="matching configuration"):
+        runner.run_matrix_resilient(names, applications=APPS,
+                                    multistate=True, checkpoint=fused_path)
     # A fused resume over a *different* lane list is a different
     # variant set — also refused.
     with pytest.raises(CheckpointError, match="variant_set"):
         runner.run_matrix_resilient(["TP", "PCAP"], applications=APPS,
-                                    fused=True, checkpoint=path)
+                                    checkpoint=fused_path)
     # The matching fused resume restores every cell.
-    report = runner.run_matrix_resilient(["TP", "Base"], applications=APPS,
-                                         fused=True, checkpoint=path)
+    report = runner.run_matrix_resilient(names, applications=APPS,
+                                         checkpoint=fused_path)
     assert report.ledger.resumed == len(APPS)
 
 
 def test_classic_journal_allows_new_predictors(small_suite, tmp_path):
     # The documented classic workflow — add a predictor, resume, only
-    # the new cells run — must keep working: classic provenance pins
+    # the new cells run — must keep working for the per-cell runs
+    # (multistate here; local mode alike): classic provenance pins
     # the execution shape, not the predictor list.
     path = tmp_path / "classic.ckpt"
     runner = ParallelExperimentRunner(small_suite, SimulationConfig())
     runner.run_matrix_resilient(["TP"], applications=APPS,
-                                fused=False, checkpoint=path)
+                                multistate=True, checkpoint=path)
     report = runner.run_matrix_resilient(["TP", "Base"], applications=APPS,
-                                         fused=False, checkpoint=path)
+                                         multistate=True, checkpoint=path)
     assert report.ledger.resumed == len(APPS)  # the TP cells
     assert not report.ledger.failures

@@ -7,7 +7,7 @@ from repro.predictors.registry import tp_spec
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.sweep import SweepPoint, render_sweep, sweep
 from repro.traces.trace import ApplicationTrace
-from tests.helpers import single_process_execution
+from tests.helpers import per_cell_matrix, single_process_execution
 
 
 @pytest.fixture(scope="module")
@@ -126,8 +126,10 @@ def test_render_sweep(runner):
 def test_sweep_duplicate_values_fused_matches_classic(runner):
     make = lambda t, cfg: tp_spec(cfg, timeout=t)  # noqa: E731
     values = [2.0, 30.0, 2.0]  # the duplicate is a real, separate point
-    classic = sweep(runner, values, make_spec=make, fused=False)
-    fused = sweep(runner, values, make_spec=make, fused=True)
+    # A tracing runner takes the per-cell sweep decomposition.
+    traced = ExperimentRunner(runner.suite, runner.config, tracing=True)
+    classic = sweep(traced, values, make_spec=make)
+    fused = sweep(runner, values, make_spec=make)
     assert classic == fused
     assert len(classic) == 3
     assert classic[0] == classic[2]  # same knob value, same point
@@ -140,8 +142,8 @@ def test_matrix_duplicate_predictor_names_fused_matches_classic():
     suite = build_suite(scale=0.2, applications=("mozilla",))
     runner = ParallelExperimentRunner(suite, SimulationConfig())
     names = ["TP", "Base", "TP"]  # shadowed: the dict row keeps one TP
-    classic = runner.run_matrix(names, fused=False)
-    fused = runner.run_matrix(names, fused=True)
+    classic = per_cell_matrix(runner, names)
+    fused = runner.run_matrix(names)
     assert classic == fused
     assert set(classic["mozilla"]) == {"TP", "Base"}  # last-wins collapse
 

@@ -3,11 +3,10 @@
 The tape is the shared per-execution skeleton every fused lane replays;
 its contract has three legs, all exercised here at the edges:
 
-* the vectorized builder and the sequential (historical-loop) builder
-  produce byte-identical columns and scalars for every shape the
-  vectorized path accepts, and replaying either tape matches the
-  classic engine bit for bit — including empty executions, zero-gap
-  (all ``TAPE_SIMPLE``) streams, and single-access processes;
+* replaying a built tape through every lane class matches the classic
+  engine bit for bit — including empty executions, zero-gap (all
+  ``TAPE_SIMPLE``) streams, and single-access processes (generated
+  shapes are fuzzed in ``test_fuzz_replay.py``);
 * store-backed builds are identical across degenerate chunk sizes
   (1–3 rows) and never decode event objects — the page-cache filter
   and the tape builder both run off the memmapped columns; and
@@ -32,13 +31,7 @@ from repro.sim.columnar import (
     TAPE_SIMPLE,
     ColumnarTape,
 )
-from repro.sim.engine import (
-    _build_tape_sequential,
-    _build_tape_vectorized,
-    _VectorUnsupported,
-    build_replay_tape,
-    run_global_execution,
-)
+from repro.sim.engine import build_replay_tape, run_global_execution
 from repro.sim.fused import replay_execution
 from repro.traces.store import StoreWriter, TraceStore, pack_trace
 from repro.traces.trace import ExecutionTrace
@@ -50,14 +43,10 @@ from .helpers import single_process_execution, two_process_execution
 LANES = ("TP", "Base", "Ideal", "PCAP")
 
 
-def build_both(execution, config):
-    """(vectorized tape or None, sequential tape) for one execution."""
+def build(execution, config):
+    """(tape, filter result) for one execution."""
     filtered = filter_execution(execution)
-    try:
-        vector = _build_tape_vectorized(execution, filtered, config)
-    except _VectorUnsupported:
-        vector = None
-    return vector, _build_tape_sequential(execution, filtered, config), filtered
+    return build_replay_tape(execution, filtered, config), filtered
 
 
 def assert_tapes_bitwise_equal(a: ColumnarTape, b: ColumnarTape) -> None:
@@ -79,30 +68,26 @@ def assert_tapes_bitwise_equal(a: ColumnarTape, b: ColumnarTape) -> None:
 
 
 def assert_replay_matches_classic(execution, filtered, tape, config):
-    """Tape replay (vector and loop) equals the classic engine per lane."""
+    """Tape replay equals the classic engine per lane."""
     for name in LANES:
         classic = run_global_execution(
             execution, filtered, make_spec(name, config), config
         )
-        for vectorized in (True, False):
-            replayed = replay_execution(
-                tape, make_spec(name, config), config, vectorized=vectorized
-            )
-            assert replayed == classic, (name, vectorized)
+        replayed = replay_execution(tape, make_spec(name, config), config)
+        assert replayed == classic, name
 
 
 class TestBuilderEquivalence:
+    """The built tape, replayed, is equivalent to the classic engine."""
+
     def test_single_process_trace(self):
         config = SimulationConfig()
         execution = single_process_execution(
             [(1.0, 0x10), (9.0, 0x20), (40.0, 0x30), (41.0, 0x10)],
             end_time=90.0,
         )
-        vector, sequential, filtered = build_both(execution, config)
-        assert vector is not None
-        assert_tapes_bitwise_equal(vector, sequential)
-        vector.bind_accesses(filtered.accesses)
-        assert_replay_matches_classic(execution, filtered, vector, config)
+        tape, filtered = build(execution, config)
+        assert_replay_matches_classic(execution, filtered, tape, config)
 
     def test_fork_exit_trace(self):
         config = SimulationConfig()
@@ -111,11 +96,8 @@ class TestBuilderEquivalence:
             [(2.0, 0x40), (31.0, 0x50)],
             end_time=100.0,
         )
-        vector, sequential, filtered = build_both(execution, config)
-        assert vector is not None
-        assert_tapes_bitwise_equal(vector, sequential)
-        vector.bind_accesses(filtered.accesses)
-        assert_replay_matches_classic(execution, filtered, vector, config)
+        tape, filtered = build(execution, config)
+        assert_replay_matches_classic(execution, filtered, tape, config)
 
     def test_generated_workloads(self):
         """Every execution of two representative generated apps."""
@@ -124,18 +106,11 @@ class TestBuilderEquivalence:
             trace = build_application_trace(
                 application_spec(name), scale=0.25
             )
-            vectorized_builds = 0
             for execution in trace:
-                vector, sequential, filtered = build_both(execution, config)
-                if vector is not None:
-                    vectorized_builds += 1
-                    assert_tapes_bitwise_equal(vector, sequential)
-                sequential.bind_accesses(filtered.accesses)
+                tape, filtered = build(execution, config)
                 assert_replay_matches_classic(
-                    execution, filtered, sequential, config
+                    execution, filtered, tape, config
                 )
-            # The fast path must actually engage on realistic traces.
-            assert vectorized_builds > 0
 
 
 class TestEdgeCases:
@@ -149,8 +124,6 @@ class TestEdgeCases:
         )
         filtered = filter_execution(execution)
         assert filtered.accesses == []
-        with pytest.raises(_VectorUnsupported):
-            _build_tape_vectorized(execution, filtered, config)
         tape = build_replay_tape(execution, filtered, config)
         assert len(tape) == 0
         assert tape.n_accesses == 0
@@ -165,15 +138,12 @@ class TestEdgeCases:
         execution = single_process_execution(
             [(time, 0x10) for time in times], end_time=times[-1] + step
         )
-        vector, sequential, filtered = build_both(execution, config)
-        assert vector is not None
-        assert_tapes_bitwise_equal(vector, sequential)
-        access_steps = vector.access_index >= 0
-        assert (vector.op[access_steps] == TAPE_SIMPLE).all()
-        assert not vector.can_fire[access_steps].any()
-        assert not vector.record[access_steps].any()
-        vector.bind_accesses(filtered.accesses)
-        assert_replay_matches_classic(execution, filtered, vector, config)
+        tape, filtered = build(execution, config)
+        access_steps = tape.access_index >= 0
+        assert (tape.op[access_steps] == TAPE_SIMPLE).all()
+        assert not tape.can_fire[access_steps].any()
+        assert not tape.record[access_steps].any()
+        assert_replay_matches_classic(execution, filtered, tape, config)
 
     def test_single_access_processes(self):
         """Each process touches the disk exactly once: every access is
@@ -182,13 +152,10 @@ class TestEdgeCases:
         execution = two_process_execution(
             [(1.0, 0x10)], [(50.0, 0x20)], end_time=120.0
         )
-        vector, sequential, filtered = build_both(execution, config)
-        assert vector is not None
-        assert_tapes_bitwise_equal(vector, sequential)
-        access_pids = vector.pids[vector.access_index >= 0]
+        tape, filtered = build(execution, config)
+        access_pids = tape.pids[tape.access_index >= 0]
         assert sorted(access_pids.tolist()) == [100, 101]
-        vector.bind_accesses(filtered.accesses)
-        assert_replay_matches_classic(execution, filtered, vector, config)
+        assert_replay_matches_classic(execution, filtered, tape, config)
 
 
 class TestStoreBackedBuilds:
@@ -230,8 +197,7 @@ class TestStoreBackedBuilds:
         built = 0
         for execution in store.trace("nedit"):
             filtered = filter_execution(execution)
-            tape = _build_tape_vectorized(execution, filtered, config)
-            assert tape is not None
+            assert len(build_replay_tape(execution, filtered, config))
             built += 1
         assert built > 0
 
@@ -300,7 +266,7 @@ class TestTapeValueSemantics:
         )
         filtered = filter_execution(execution)
         tape = pickle.loads(
-            pickle.dumps(_build_tape_sequential(execution, filtered, config))
+            pickle.dumps(build_replay_tape(execution, filtered, config))
         )
         with pytest.raises(ValueError, match="bind_accesses"):
             tape.replay_views()
@@ -308,8 +274,8 @@ class TestTapeValueSemantics:
         assert tape.replay_views()
 
     def test_inline_views_match_column_rebuild(self):
-        """The sequential builder's inline step views equal the tuples a
-        memo-free clone rebuilds from the columns."""
+        """The builder's inline step views equal the tuples a memo-free
+        clone rebuilds from the columns."""
         config = SimulationConfig()
         execution = two_process_execution(
             [(1.0, 0x10), (30.0, 0x20), (75.0, 0x30)],
@@ -317,7 +283,7 @@ class TestTapeValueSemantics:
             end_time=100.0,
         )
         filtered = filter_execution(execution)
-        tape = _build_tape_sequential(execution, filtered, config)
+        tape = build_replay_tape(execution, filtered, config)
         clone = pickle.loads(pickle.dumps(tape))
         clone.bind_accesses(filtered.accesses)
         assert tape.replay_views() == clone.replay_views()

@@ -1,9 +1,10 @@
 """CI gate: the fused sweep kernel is bit-identical to the per-cell path.
 
-Runs the paper's two sweep shapes both ways — through the fused
-single-pass kernel (``repro.sim.fused``) and through the classic
-one-simulation-per-cell decomposition — and fails loudly if any table
-differs by even a bit:
+Every global matrix and sweep runs through the fused single-pass kernel
+(``repro.sim.fused``).  This gate rebuilds the paper's sweep shapes from
+the classic reference instead — one ``runner.run_global`` simulation per
+(application × variant) cell, folded exactly as ``sweep()`` documents —
+and fails loudly if any table differs by even a bit:
 
 * the TP timeout ladder (the Figure-7 parameter sweep), serial and on a
   2-worker pool,
@@ -13,16 +14,12 @@ differs by even a bit:
   the learned family QDPM/SKI/PI), serial and on a 2-worker pool,
 * the learned-family hyperparameter ladders — the ski-rental λ sweep
   and Q-DPM exploration-seed lanes — whose lanes are stateful generic
-  lanes with seeded pseudo-randomness; fused vs classic here proves
+  lanes with seeded pseudo-randomness; fused vs per-cell here proves
   the engine call order (and hence the deterministic draw stream) is
-  identical in both paths,
+  identical in both paths, and
 * adversarial duplicate/shadowed lane sets — the same lane twice, and
   distinct lanes hiding behind one label — each fused lane diffed
-  against an independent classic run of an equivalent fresh spec, and
-* the vectorized lanes themselves: every registry predictor replayed
-  over the shared columnar tape with ``vectorized=True`` and
-  ``vectorized=False`` (the scalar loop lanes), execution by
-  execution.
+  against an independent per-cell run of an equivalent fresh spec.
 
 On mismatch the script prints a unified diff of the two result tables
 (one line per application × variant, every result field) and exits
@@ -45,16 +42,15 @@ from repro.config import SimulationConfig
 from repro.predictors.registry import (
     KNOWN_PREDICTORS,
     base_spec,
-    make_spec,
     pcap_spec,
     qdpm_spec,
     ski_spec,
     tp_spec,
 )
-from repro.sim.engine import build_replay_tape
-from repro.sim.fused import replay_execution, run_fused_cells
+from repro.sim.fused import run_fused_cells
+from repro.sim.metrics import PredictionStats
 from repro.sim.parallel import ParallelExperimentRunner, fork_available
-from repro.sim.sweep import sweep
+from repro.sim.sweep import SweepPoint, sweep
 from repro.workloads import build_suite
 
 TIMEOUTS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
@@ -154,45 +150,56 @@ def adversarial_pass(runner, config, jobs: int) -> bool:
     )
 
 
-def vector_lane_pass(runner, config) -> bool:
-    """Vectorized array-program lanes vs the scalar loop lanes.
+def per_cell_matrix(runner, names) -> dict:
+    """``{application: {name: result}}``, one ``run_global`` per cell."""
+    return {
+        application: {
+            name: runner.run_global(application, name) for name in names
+        }
+        for application in runner.applications
+    }
 
-    Replays every execution's shared tape under every registry
-    predictor twice — ``vectorized=True`` and ``vectorized=False`` —
-    with independent fresh specs, and byte-diffs the per-execution
-    results.  This is the direct DESIGN §10 contract check for the
-    constant-intent and omniscient array programs (generic lanes take
-    the same loop either way and double as a determinism check).
-    """
-    vector_lines = []
-    loop_lines = []
-    for application in runner.applications:
-        lanes = [
-            (name, make_spec(name, config), make_spec(name, config))
-            for name in KNOWN_PREDICTORS
-        ]
-        for execution, filtered in runner.iter_filtered(application):
-            tape = build_replay_tape(execution, filtered, config)
-            for name, spec_vector, spec_loop in lanes:
-                prefix = (
-                    f"{application}[{execution.execution_index}] × {name}: "
-                )
-                result = replay_execution(
-                    tape, spec_vector, config, vectorized=True
-                )
-                vector_lines.append(prefix + describe_result(result))
-                result = replay_execution(
-                    tape, spec_loop, config, vectorized=False
-                )
-                loop_lines.append(prefix + describe_result(result))
-            for _, spec_vector, spec_loop in lanes:
-                spec_vector.on_execution_end()
-                spec_loop.on_execution_end()
-    return check(
-        "vectorized lanes vs loop lanes (all registry predictors)",
-        vector_lines,
-        loop_lines,
-    )
+
+def per_cell_sweep(runner, values, make) -> list[SweepPoint]:
+    """``sweep()``'s points rebuilt from one ``run_global`` per (value ×
+    application) cell plus one Base cell per application, folded in the
+    documented (value-major, application-order) sequence."""
+    config = runner.config
+    base = {
+        application: runner.run_global(application, "Base")
+        for application in runner.applications
+    }
+    points = []
+    for value in values:
+        stats = PredictionStats()
+        energy = base_energy = 0.0
+        shutdowns = delayed = irritating = accesses = 0
+        for application in runner.applications:
+            result = runner.run_global(application, make(value, config))
+            stats.merge(result.stats)
+            energy += result.energy
+            shutdowns += result.shutdowns
+            delayed += result.delayed_requests
+            irritating += result.irritating_delays
+            accesses += result.total_disk_accesses
+            base_energy += base[application].energy
+        points.append(
+            SweepPoint(
+                value=value,
+                hit_fraction=stats.hit_fraction,
+                miss_fraction=stats.miss_fraction,
+                hit_primary_fraction=stats.hit_primary_fraction,
+                hit_backup_fraction=stats.hit_backup_fraction,
+                energy=energy,
+                savings=1.0 - energy / base_energy if base_energy else 0.0,
+                shutdowns=shutdowns,
+                delayed_requests=delayed,
+                irritating_delays=irritating,
+                opportunities=stats.opportunities,
+                disk_accesses=accesses,
+            )
+        )
+    return points
 
 
 def main() -> int:
@@ -204,92 +211,43 @@ def main() -> int:
     if len(job_counts) == 1:
         print("note: fork unavailable, pooled runs skipped", file=sys.stderr)
 
-    ok = vector_lane_pass(runner, config)
+    sweeps = (
+        ("TP timeout sweep", TIMEOUTS,
+         lambda value, cfg: tp_spec(
+             cfg, timeout=value, name=f"TP({value:g}s)"
+         )),
+        ("ski-rental lambda sweep", SKI_LAMBDAS,
+         lambda value, cfg: ski_spec(cfg, lam=value)),
+        ("Q-DPM seed lanes", QDPM_SEEDS,
+         lambda value, cfg: qdpm_spec(cfg, seed=value)),
+    )
+    matrices = (
+        ("PCAP family matrix", PCAP_FAMILY),
+        ("full registry matrix", KNOWN_PREDICTORS),
+    )
+    classic_sweeps = {
+        label: sweep_table(per_cell_sweep(runner, values, make))
+        for label, values, make in sweeps
+    }
+    classic_matrices = {
+        label: matrix_table(per_cell_matrix(runner, names))
+        for label, names in matrices
+    }
+
+    ok = True
     for jobs in job_counts:
-        fused_points = sweep(
-            runner,
-            TIMEOUTS,
-            make_spec=lambda value, cfg: tp_spec(
-                cfg, timeout=value, name=f"TP({value:g}s)"
-            ),
-            jobs=jobs,
-            fused=True,
-        )
-        classic_points = sweep(
-            runner,
-            TIMEOUTS,
-            make_spec=lambda value, cfg: tp_spec(
-                cfg, timeout=value, name=f"TP({value:g}s)"
-            ),
-            jobs=jobs,
-            fused=False,
-        )
-        ok &= check(
-            f"TP timeout sweep (jobs={jobs})",
-            sweep_table(fused_points),
-            sweep_table(classic_points),
-        )
-
-        fused_matrix = runner.run_matrix(PCAP_FAMILY, jobs=jobs, fused=True)
-        classic_matrix = runner.run_matrix(PCAP_FAMILY, jobs=jobs, fused=False)
-        ok &= check(
-            f"PCAP family matrix (jobs={jobs})",
-            matrix_table(fused_matrix),
-            matrix_table(classic_matrix),
-        )
-
-        fused_registry = runner.run_matrix(
-            KNOWN_PREDICTORS, jobs=jobs, fused=True
-        )
-        classic_registry = runner.run_matrix(
-            KNOWN_PREDICTORS, jobs=jobs, fused=False
-        )
-        ok &= check(
-            f"full registry matrix (jobs={jobs})",
-            matrix_table(fused_registry),
-            matrix_table(classic_registry),
-        )
-
-        fused_ski = sweep(
-            runner,
-            SKI_LAMBDAS,
-            make_spec=lambda value, cfg: ski_spec(cfg, lam=value),
-            jobs=jobs,
-            fused=True,
-        )
-        classic_ski = sweep(
-            runner,
-            SKI_LAMBDAS,
-            make_spec=lambda value, cfg: ski_spec(cfg, lam=value),
-            jobs=jobs,
-            fused=False,
-        )
-        ok &= check(
-            f"ski-rental lambda sweep (jobs={jobs})",
-            sweep_table(fused_ski),
-            sweep_table(classic_ski),
-        )
-
-        fused_qdpm = sweep(
-            runner,
-            QDPM_SEEDS,
-            make_spec=lambda value, cfg: qdpm_spec(cfg, seed=value),
-            jobs=jobs,
-            fused=True,
-        )
-        classic_qdpm = sweep(
-            runner,
-            QDPM_SEEDS,
-            make_spec=lambda value, cfg: qdpm_spec(cfg, seed=value),
-            jobs=jobs,
-            fused=False,
-        )
-        ok &= check(
-            f"Q-DPM seed lanes (jobs={jobs})",
-            sweep_table(fused_qdpm),
-            sweep_table(classic_qdpm),
-        )
-
+        for label, values, make in sweeps:
+            ok &= check(
+                f"{label} (jobs={jobs})",
+                sweep_table(sweep(runner, values, make_spec=make, jobs=jobs)),
+                classic_sweeps[label],
+            )
+        for label, names in matrices:
+            ok &= check(
+                f"{label} (jobs={jobs})",
+                matrix_table(runner.run_matrix(names, jobs=jobs)),
+                classic_matrices[label],
+            )
         ok &= adversarial_pass(runner, config, jobs)
 
     if not ok:

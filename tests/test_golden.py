@@ -13,7 +13,9 @@ Pinned:
   counters, shutdowns and delays, floats as ``float.hex``;
 * local mode (Figure 6) and the §7 multistate disk for the PCAP family;
 * the sha256 of ``repro reproduce --scale 0.25`` stdout and its
-  shape-check verdict line.
+  shape-check verdict line;
+* the sha256 of ``repro report --scale 0.25`` stdout
+  (``tests/golden/report.json``).
 
 Each mode is checked through the per-cell path (``run_global`` /
 ``run_local``) and through the matrix path the CLI and figures use.
@@ -46,6 +48,7 @@ from repro.workloads import APPLICATIONS, build_suite
 from .helpers import canonical, per_cell_matrix
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "results.json"
+REPORT_GOLDEN_PATH = Path(__file__).parent / "golden" / "report.json"
 
 #: The ``repro bench --quick`` workload scale.
 QUICK_SCALE = 0.4
@@ -72,12 +75,24 @@ def matrix_digests(matrix) -> dict[str, str]:
     }
 
 
-def reproduce_stdout() -> str:
+def command_stdout(command: str) -> str:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = cli.main(["reproduce", "--scale", str(REPRODUCE_SCALE)])
+        code = cli.main([command, "--scale", str(REPRODUCE_SCALE)])
     assert code == 0
     return buffer.getvalue()
+
+
+def reproduce_stdout() -> str:
+    return command_stdout("reproduce")
+
+
+def report_golden() -> dict:
+    text = command_stdout("report")
+    return {
+        "scale": REPRODUCE_SCALE,
+        "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+    }
 
 
 def reproduce_golden(text: str) -> dict[str, str]:
@@ -188,12 +203,21 @@ def test_reproduce_stdout_matches_golden(golden):
     assert actual["sha256"] == expected["sha256"]
 
 
+def test_report_stdout_matches_golden():
+    expected = json.loads(REPORT_GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert report_golden() == expected
+
+
+def _write_json(path: Path, value: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
+        json.dumps(value, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {path}")
+
+
 if __name__ == "__main__":  # pragma: no cover - maintenance entry point
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python -m tests.test_golden --write")
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(
-        json.dumps(generate(), indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"wrote {GOLDEN_PATH}")
+    _write_json(GOLDEN_PATH, generate())
+    _write_json(REPORT_GOLDEN_PATH, report_golden())

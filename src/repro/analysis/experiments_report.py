@@ -16,6 +16,10 @@ from repro.analysis.compare import (
     fig10_checks,
 )
 from repro.analysis.figures import (
+    FIG7_PREDICTORS,
+    FIG8_PREDICTORS,
+    FIG9_PREDICTORS,
+    FIG10_PREDICTORS,
     AccuracyFigure,
     average_bars,
     average_savings,
@@ -34,13 +38,26 @@ from repro.analysis.paper_data import (
     PAPER_TABLE1,
     PAPER_TABLE3,
 )
-from repro.analysis.tables import build_table1, build_table3
+from repro.analysis.tables import TABLE3_VARIANTS, build_table1, build_table3
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.metrics import PredictionStats
 from repro.workloads.extremes import build_extremes
 
 #: Predictor columns of the learned-family extension sections.
 LEARNED_REPORT_PREDICTORS = ("TP", "PCAP", "QDPM", "SKI", "PI")
+
+#: Every global-mode predictor ``repro reproduce`` scores (Figures 7–10
+#: and Table 3), each once, in first-use order.
+REPRODUCE_GLOBAL_PREDICTORS = tuple(dict.fromkeys(
+    FIG7_PREDICTORS + FIG8_PREDICTORS + FIG9_PREDICTORS
+    + FIG10_PREDICTORS + TABLE3_VARIANTS
+))
+
+#: The report's global-mode predictors: ``reproduce``'s plus the Base
+#: baseline and the learned-family rows.
+REPORT_GLOBAL_PREDICTORS = tuple(dict.fromkeys(
+    REPRODUCE_GLOBAL_PREDICTORS + ("Base",) + LEARNED_REPORT_PREDICTORS
+))
 
 
 def _accuracy_table(
@@ -75,6 +92,9 @@ def generate_report(runner: ExperimentRunner, *, workload: str) -> str:
 
     ``workload`` names what the runner's suite was built from, e.g.
     ``scale 1.0`` or ``store DIR``."""
+    # One fused pass over every global predictor; the sections below
+    # read the runner's memoized results.
+    runner.run_matrix(REPORT_GLOBAL_PREDICTORS)
     parts: list[str] = [
         "# Reproduction report (generated)",
         "",
@@ -177,15 +197,13 @@ def generate_report(runner: ExperimentRunner, *, workload: str) -> str:
         "| predictor | hit | miss | savings |",
         "|---|---|---|---|",
     ]
-    base_energy = sum(
-        runner.run_global(app, "Base").energy
-        for app in runner.applications
-    )
+    learned = runner.run_matrix(("Base",) + LEARNED_REPORT_PREDICTORS)
+    base_energy = sum(row["Base"].energy for row in learned.values())
     for name in LEARNED_REPORT_PREDICTORS:
         stats = PredictionStats()
         energy = 0.0
-        for app in runner.applications:
-            result = runner.run_global(app, name)
+        for row in learned.values():
+            result = row[name]
             stats.merge(result.stats)
             energy += result.energy
         parts.append(
@@ -211,9 +229,8 @@ def generate_report(runner: ExperimentRunner, *, workload: str) -> str:
         "|---|---|---|---|---|",
     ]
     envelope = ExperimentRunner(build_extremes(executions=12), runner.config)
-    for app in envelope.applications:
-        for name in LEARNED_REPORT_PREDICTORS:
-            result = envelope.run_global(app, name)
+    for app, row in envelope.run_matrix(LEARNED_REPORT_PREDICTORS).items():
+        for name, result in row.items():
             parts.append(
                 f"| {app} | {name} | {result.stats.hit_fraction:.1%} "
                 f"| {result.stats.miss_fraction:.1%} "

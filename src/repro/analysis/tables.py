@@ -35,7 +35,9 @@ def build_table1(runner: ExperimentRunner) -> list[Table1Row]:
         global_count = 0
         local_count = 0
         disk_accesses = 0
-        for execution, filtered in zip(trace, runner.filtered(application)):
+        for position, (execution, filtered) in enumerate(
+            zip(trace, runner.filtered(application))
+        ):
             disk_accesses += len(filtered.accesses)
             times = [access.time for access in filtered.accesses]
             gaps = stream_gaps(
@@ -48,7 +50,10 @@ def build_table1(runner: ExperimentRunner) -> list[Table1Row]:
                 1 for gap in gaps if gap.length > config.breakeven
             )
             per_process = filtered.per_process()
-            for pid, (start, end) in execution.lifetimes().items():
+            lifetimes = runner.execution_lifetimes(
+                application, position, execution
+            )
+            for pid, (start, end) in lifetimes.items():
                 accesses = per_process.get(pid, [])
                 if not accesses:
                     continue
@@ -116,12 +121,13 @@ def build_table3(
 ) -> list[Table3Row]:
     """Run each PCAP variant over each application's full trace history
     and report the final prediction-table sizes."""
-    apps = list(applications) if applications else runner.applications
-    rows: list[Table3Row] = []
-    for application in apps:
-        entries: dict[str, int] = {}
-        for variant in variants:
-            result = runner.run_global(application, variant)
-            entries[variant] = result.table_size or 0
-        rows.append(Table3Row(application=application, entries=entries))
-    return rows
+    matrix = runner.run_matrix(variants, applications=applications)
+    return [
+        Table3Row(
+            application=application,
+            entries={
+                variant: row[variant].table_size or 0 for variant in variants
+            },
+        )
+        for application, row in matrix.items()
+    ]

@@ -56,6 +56,7 @@ truncation, and worker stalls.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import Optional, Sequence
@@ -74,7 +75,10 @@ from repro.analysis.figures import (
     build_fig9,
     build_fig10,
 )
-from repro.analysis.experiments_report import generate_report
+from repro.analysis.experiments_report import (
+    REPRODUCE_GLOBAL_PREDICTORS,
+    generate_report,
+)
 from repro.analysis.svg_charts import render_accuracy_svg, render_energy_svg
 from repro.analysis.report import (
     render_accuracy_figure,
@@ -147,6 +151,9 @@ def _workload_label(args) -> str:
 
 def _cmd_reproduce(args) -> int:
     runner = _runner(args)
+    # One fused pass over every global predictor; the figures and
+    # Table 3 below read the runner's memoized results.
+    runner.run_matrix(REPRODUCE_GLOBAL_PREDICTORS)
     print(render_table1(build_table1(runner)))
     print()
     print(render_table2(build_table2(runner.config.disk)))
@@ -1101,13 +1108,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             plan_text = os.environ.get(faults.FAULT_PLAN_ENV_VAR)
         if plan_text:
             faults.install(faults.parse_fault_plan(plan_text))
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`repro ... | head`).  Exit quietly,
+        # as Python's SIGPIPE recipe does: point stdout at devnull so
+        # the interpreter's exit-time flush cannot fail a second time.
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     except OSError as error:
-        print(f"error: {error.strerror or error}: "
-              f"{getattr(error, 'filename', '')}", file=sys.stderr)
+        where = f": {error.filename}" if error.filename is not None else ""
+        print(f"error: {error.strerror or error}{where}", file=sys.stderr)
         return 1
     finally:
         faults.clear()

@@ -66,7 +66,11 @@ from repro.traces.events import (
     TraceEvent,
     event_tuple,
 )
-from repro.traces.trace import ApplicationTrace, ExecutionTrace
+from repro.traces.trace import (
+    ApplicationTrace,
+    ExecutionTrace,
+    process_lifetimes,
+)
 
 #: Bump whenever the column layout or the manifest schema changes; old
 #: stores are rejected with a clear error instead of being misread.
@@ -564,19 +568,12 @@ class StoredExecution:
 
     def lifetimes(self) -> dict[int, tuple[float, float]]:
         """``pid -> (start, end)``, identical to the in-memory container."""
-        start: dict[int, float] = {
-            pid: self.start_time for pid in self.initial_pids
-        }
-        end: dict[int, float] = {}
-        for event in self.liveness_events():
-            if isinstance(event, ForkEvent):
-                start[event.pid] = event.time
-            else:
-                end[event.pid] = event.time
-        return {
-            pid: (begin, end.get(pid, self.end_time))
-            for pid, begin in start.items()
-        }
+        return process_lifetimes(
+            self.initial_pids,
+            self.start_time,
+            self.end_time,
+            self.liveness_events(),
+        )
 
     def materialize(self) -> ExecutionTrace:
         """An in-memory :class:`ExecutionTrace` with identical events."""

@@ -156,19 +156,36 @@ class ExecutionTrace:
 
     def lifetimes(self) -> dict[int, tuple[float, float]]:
         """``pid -> (start, end)`` liveness interval of every process."""
-        start: dict[int, float] = {
-            pid: self.start_time for pid in self.initial_pids
-        }
-        end: dict[int, float] = {}
-        for event in self.events:
-            if isinstance(event, ForkEvent):
-                start[event.pid] = event.time
-            elif isinstance(event, ExitEvent):
-                end[event.pid] = event.time
-        return {
-            pid: (begin, end.get(pid, self.end_time))
-            for pid, begin in start.items()
-        }
+        return process_lifetimes(
+            self.initial_pids,
+            self.start_time,
+            self.end_time,
+            self.liveness_events(),
+        )
+
+
+def process_lifetimes(
+    initial_pids: Iterable[int],
+    start_time: float,
+    end_time: float,
+    liveness_events: Iterable[TraceEvent],
+) -> dict[int, tuple[float, float]]:
+    """``pid -> (start, end)`` liveness intervals of an execution.
+
+    Initial pids live from ``start_time``, forked pids from their fork;
+    every pid lives until its exit, or ``end_time`` if it never exits.
+    ``liveness_events`` is the execution's ordered fork/exit subset.
+    """
+    start: dict[int, float] = {pid: start_time for pid in initial_pids}
+    end: dict[int, float] = {}
+    for event in liveness_events:
+        if isinstance(event, ForkEvent):
+            start[event.pid] = event.time
+        else:
+            end[event.pid] = event.time
+    return {
+        pid: (begin, end.get(pid, end_time)) for pid, begin in start.items()
+    }
 
 
 @dataclass(slots=True)

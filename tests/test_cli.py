@@ -1,7 +1,15 @@
 """Command-line interface."""
 
+import errno
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro import cli
 from repro.cli import main
 
 STRACE_SAMPLE = """\
@@ -134,6 +142,40 @@ def test_user_errors_are_one_line_not_tracebacks(capsys, tmp_path):
     code, _, err = run_cli(capsys, "table", "1", "--scale", "0")
     assert code == 1
     assert "scale must be positive" in err
+
+
+def test_os_error_without_filename_prints_no_none(capsys, monkeypatch):
+    def out_of_space(args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "_cmd_table", out_of_space)
+    code, _, err = run_cli(capsys, "table", "2")
+    assert code == 1
+    assert err == "error: No space left on device\n"
+
+
+def test_closed_stdout_exits_quietly():
+    """``repro ... | head``: the reader closing the pipe early is not an
+    error worth reporting (Python's SIGPIPE recipe)."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "table", "2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == 1
 
 
 def test_store_backed_commands_name_the_store_not_the_scale(

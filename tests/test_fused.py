@@ -169,7 +169,8 @@ def test_matrix_fused_matches_classic_serial(parallel_runner):
 
 @needs_fork
 def test_matrix_fused_matches_classic_pooled(parallel_runner):
-    fused = parallel_runner.run_matrix(
+    # A clone without the serial test's memoized results.
+    fused = parallel_runner.with_config(parallel_runner.config).run_matrix(
         MATRIX_NAMES, applications=APPS, jobs=2
     )
     assert fused == per_cell_matrix(parallel_runner, MATRIX_NAMES, APPS)

@@ -211,8 +211,13 @@ def test_learned_fused_matches_classic(runner, config):
 
 @needs_fork
 def test_learned_pooled_matches_serial(parallel_runner):
-    pooled = parallel_runner.run_matrix(LEARNED, applications=APPS, jobs=2)
-    serial = parallel_runner.run_matrix(LEARNED, applications=APPS, jobs=1)
+    # Separate clones: a runner memoizes its global matrix results.
+    pooled = parallel_runner.with_config(parallel_runner.config).run_matrix(
+        LEARNED, applications=APPS, jobs=2
+    )
+    serial = parallel_runner.with_config(parallel_runner.config).run_matrix(
+        LEARNED, applications=APPS, jobs=1
+    )
     assert pooled == serial
 
 

@@ -11,7 +11,9 @@ and fails loudly if any table differs by even a bit:
 * the PCAP family matrix (PCAP/PCAPh/PCAPf/PCAPfh + Base), serial and
   on a 2-worker pool,
 * the full predictor registry (every KNOWN_PREDICTORS name, including
-  the learned family QDPM/SKI/PI), serial and on a 2-worker pool,
+  the learned family QDPM/SKI/PI), serial and on a 2-worker pool —
+  run on the same runner after the PCAP family, so it replays only the
+  lanes the runner has not memoized,
 * the learned-family hyperparameter ladders — the ski-rental λ sweep
   and Q-DPM exploration-seed lanes — whose lanes are stateful generic
   lanes with seeded pseudo-randomness; fused vs per-cell here proves
@@ -236,6 +238,9 @@ def main() -> int:
 
     ok = True
     for jobs in job_counts:
+        # A runner memoizes its global matrix results: each job count
+        # gets a clone without them.
+        matrix_runner = runner.with_config(config)
         for label, values, make in sweeps:
             ok &= check(
                 f"{label} (jobs={jobs})",
@@ -245,7 +250,7 @@ def main() -> int:
         for label, names in matrices:
             ok &= check(
                 f"{label} (jobs={jobs})",
-                matrix_table(runner.run_matrix(names, jobs=jobs)),
+                matrix_table(matrix_runner.run_matrix(names, jobs=jobs)),
                 classic_matrices[label],
             )
         ok &= adversarial_pass(runner, config, jobs)

@@ -15,7 +15,9 @@ Pinned:
 * the sha256 of ``repro reproduce --scale 0.25`` stdout and its
   shape-check verdict line;
 * the sha256 of ``repro report --scale 0.25`` stdout
-  (``tests/golden/report.json``).
+  (``tests/golden/report.json``);
+* the manifest fingerprints of ``repro trace pack --scale 0.05``
+  (``tests/golden/store.json``).
 
 Each mode is checked through the per-cell path (``run_global`` /
 ``run_local``) and through the matrix path the CLI and figures use.
@@ -49,6 +51,7 @@ from .helpers import canonical, per_cell_matrix
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "results.json"
 REPORT_GOLDEN_PATH = Path(__file__).parent / "golden" / "report.json"
+STORE_GOLDEN_PATH = Path(__file__).parent / "golden" / "store.json"
 
 #: The ``repro bench --quick`` workload scale.
 QUICK_SCALE = 0.4
@@ -57,6 +60,9 @@ QUICK_SCALE = 0.4
 PCAP_FAMILY = ("PCAP", "PCAPh", "PCAPf", "PCAPfh", "PCAPa", "PCAPc", "PCAPp")
 
 REPRODUCE_SCALE = 0.25
+
+#: The ``repro trace pack`` scale whose manifest fingerprints are pinned.
+PACK_SCALE = 0.05
 
 SHAPE_RE = re.compile(r"^.*\d+/\d+ shape checks passed.*$", re.MULTILINE)
 
@@ -100,6 +106,25 @@ def reproduce_golden(text: str) -> dict[str, str]:
     return {
         "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
         "shape_checks": match.group(0).strip() if match else "",
+    }
+
+
+def store_golden(out: Path) -> dict:
+    """Pack the suite at :data:`PACK_SCALE` into ``out`` and return
+    its manifest fingerprints."""
+    from repro.traces.store import TraceStore
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(
+            ["trace", "pack", "--scale", str(PACK_SCALE), "--out", str(out)]
+        )
+    assert code == 0
+    store = TraceStore(out)
+    return {
+        "scale": PACK_SCALE,
+        "rows": store.rows,
+        "fingerprint": store.fingerprint,
+        "applications": store.fingerprints(),
     }
 
 
@@ -208,6 +233,11 @@ def test_report_stdout_matches_golden():
     assert report_golden() == expected
 
 
+def test_pack_fingerprints_match_golden(tmp_path):
+    expected = json.loads(STORE_GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert store_golden(tmp_path / "store") == expected
+
+
 def _write_json(path: Path, value: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
@@ -221,3 +251,7 @@ if __name__ == "__main__":  # pragma: no cover - maintenance entry point
         sys.exit("usage: python -m tests.test_golden --write")
     _write_json(GOLDEN_PATH, generate())
     _write_json(REPORT_GOLDEN_PATH, report_golden())
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        _write_json(STORE_GOLDEN_PATH, store_golden(Path(scratch) / "store"))

@@ -1,5 +1,6 @@
 """Each piece of ``reproduce`` work happens once: generation hashes,
-replay tapes, global cells and process lifetimes."""
+replay tapes, global cells and process lifetimes; a warm artifact cache
+serves traces without building event objects."""
 
 from __future__ import annotations
 
@@ -10,11 +11,14 @@ import pytest
 import repro.sim.engine as engine
 import repro.sim.experiment as experiment
 import repro.sim.fused as fused
+import repro.workloads.base as workload_base
+import repro.workloads.suite as workload_suite
 from repro import cli
 from repro.analysis.tables import build_table1, build_table3
 from repro.config import SimulationConfig
 from repro.sim.experiment import ExperimentRunner
-from repro.traces.trace import ExecutionTrace
+from repro.traces.store import StoreBackedTrace, TraceStore
+from repro.traces.trace import ApplicationTrace, ExecutionTrace
 from repro.workloads import build_suite
 from repro.workloads.base import FileSpace
 from repro.workloads.rng import stable_seed
@@ -47,6 +51,53 @@ def test_reproduce_builds_one_tape_per_execution(monkeypatch, capsys):
     assert counts["lifetimes"] == executions
     # Figure 6's local cells are the one classic path left.
     assert counts["evaluate_local_stream"] > 0
+
+
+def test_warm_cache_reproduce_builds_no_event_objects(
+    monkeypatch, capsys, tmp_path
+):
+    """A warm ``--cache-dir`` run reads every trace as a memory-mapped
+    segment: no generator runs and no store row is decoded into events,
+    and its stdout is the fill run's and the uncached run's, byte for
+    byte."""
+    argv = ["reproduce", "--scale", "0.05"]
+    cached = argv + ["--cache-dir", str(tmp_path / "cache")]
+    counts: collections.Counter = collections.Counter()
+    _count_calls(monkeypatch, counts, TraceStore, "decode_rows")
+    _count_calls(monkeypatch, counts, workload_base, "build_execution")
+    _count_calls(
+        monkeypatch, counts, workload_suite, "build_application_trace"
+    )
+    runners = []
+    make_runner = cli._runner
+
+    def recording_runner(*args, **kwargs):
+        runners.append(make_runner(*args, **kwargs))
+        return runners[-1]
+
+    monkeypatch.setattr(cli, "_runner", recording_runner)
+    outputs = []
+    runs = []
+    for command in (argv, cached, cached):
+        counts.clear()
+        assert cli.main(command) == 0
+        outputs.append(capsys.readouterr().out)
+        runs.append(dict(counts))
+    _, fill, warm = runs
+    suite_types = [
+        {type(trace) for trace in runner.suite.values()} for runner in runners
+    ]
+    # The fill generates and keeps its in-memory traces ...
+    assert fill["build_application_trace"] == len(workload_suite.APPLICATIONS)
+    assert fill["build_execution"] > 0
+    assert "decode_rows" not in fill
+    assert suite_types[1] == {ApplicationTrace}
+    # ... and the warm run replays memory-mapped segments, neither
+    # generating nor decoding.
+    assert warm == {}
+    assert suite_types[2] == {StoreBackedTrace}
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 def test_global_matrix_replays_only_missing_lanes(monkeypatch, small_suite):

@@ -7,7 +7,7 @@ to avoid.  Generation is deterministic *per execution*
 (application, index) pair alone), so this module generates executions one
 at a time and hands each to a :class:`~repro.traces.store.StoreWriter`,
 discarding it before the next is built.  Peak memory is one execution
-plus one chunk buffer regardless of ``scale`` — the scale knob that makes
+and its column arrays regardless of ``scale`` — the scale knob that makes
 10x-suite packs feasible where an in-memory build is not.
 """
 

@@ -14,7 +14,7 @@ available programmatically::
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 from repro.analysis.figures import AccuracyFigure, EnergyFigure
 
@@ -61,7 +61,7 @@ def _text(x: float, y: float, content: str, *, size: int = 11,
     return (
         f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" '
         f'font-family="Helvetica, Arial, sans-serif" '
-        f'text-anchor="{anchor}"{transform}>{escape(content)}</text>'
+        f'text-anchor="{anchor}"{transform}>{escape(content, quote=False)}</text>'
     )
 
 

@@ -46,13 +46,13 @@ from typing import Optional
 
 from repro import faults
 from repro.config import SimulationConfig
-from repro.errors import ServeError, ServeProtocolError
+from repro.errors import ServeError, ServeProtocolError, TraceStoreError
 from repro.sim.metrics import PredictionStats
 from repro.sim.resilience import ResiliencePolicy
 from repro.serve import protocol
 from repro.serve.supervisor import ShardSupervisor
 from repro.serve.worker import shard_of
-from repro.traces.store import EVENT_ROW_BYTES
+from repro.traces.store import EVENT_ROW_BYTES, check_event_rows
 
 _ACCEPT_BACKLOG = 64
 _RECV_SIZE = 65536
@@ -317,12 +317,12 @@ class ServeDaemon:
         conn.pending_bytes = 0
         header = pending["header"]
         rows = bytes(pending["rows"])
-        if len(rows) % EVENT_ROW_BYTES:
-            self._reject_malformed(
-                conn, rows,
-                f"row payload of {len(rows)} byte(s) off the "
-                f"{EVENT_ROW_BYTES}-byte row grid",
-            )
+        try:
+            # Off-grid rows or unknown codes would fail in the worker on
+            # every restart until the shard degraded into this process.
+            check_event_rows(rows)
+        except TraceStoreError as exc:
+            self._reject_malformed(conn, rows, str(exc))
             return
         try:
             application = str(header["application"])

@@ -37,7 +37,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.config import SimulationConfig
 from repro.errors import ServeError
@@ -151,11 +151,16 @@ def run_scenario(
     stall_timeout: float = 5.0,
     fault_plan: Optional[str] = None,
     kill_worker_after: Optional[int] = None,
+    before_drain: Optional[Callable[[], None]] = None,
 ) -> ScenarioResult:
     """Drive one full daemon lifecycle; see the module docstring.
 
     ``kill_worker_after`` SIGKILLs the first live forked shard worker
     once that many decisions have arrived — the mid-stream crash drill.
+    ``before_drain`` is called once every client is done and the health
+    and table snapshots are taken, while the daemon still runs: the
+    shard journals then hold every execution, the tail of each still
+    inline (a drain compacts it).
     Client *i* is named ``client-<i>`` and owns every ``execution_index
     % clients == i`` execution of each application, so the feed is
     deterministic for a given (suite scale, client count).
@@ -219,6 +224,8 @@ def run_scenario(
     try:
         result.health = control_request(control, "health")
         result.tables = control_request(control, "tables")
+        if before_drain is not None:
+            before_drain()
     except (OSError, ServeError, ValueError) as exc:
         result.client_errors.append(f"control socket: {exc}")
     finally:

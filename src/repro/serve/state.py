@@ -7,7 +7,10 @@ pure replay of that record.  That makes recovery trivial and exact —
 a restarted worker replays the journal through fresh predictor specs
 and ends with *bit-identical* table contents, because it runs the very
 same :func:`~repro.sim.engine.run_global_execution` calls the live
-worker ran.
+worker ran.  :meth:`ShardJournal.replay` yields executions as column
+views, never decoded: an inline record's rows as a
+:class:`~repro.traces.store.ColumnExecution`, a compacted one as its
+segment's :class:`~repro.traces.store.StoredExecution`.
 
 Layout of ``state_dir/shard-<k>/``::
 
@@ -27,7 +30,9 @@ Every ``checkpoint_every`` executions the journal is **compacted**: the
 accumulated row payloads are packed into a trace-store segment
 (:class:`~repro.traces.store.StoreWriter` — chunked column files plus
 an atomically-published manifest carrying BLAKE2b provenance
-fingerprints), and the journal is atomically rewritten with each
+fingerprints; the writer's column branch writes the received columns
+as they are and hashes the fingerprint the event objects would give),
+and the journal is atomically rewritten with each
 compacted record's ``rows`` replaced by a ``{"segment": k, "pos": i}``
 pointer.  Both steps are crash-ordered: the segment manifest is
 published before the journal rewrite, and the rewrite itself is
@@ -50,8 +55,13 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from repro.errors import ServeError
-from repro.traces.store import StoreWriter, TraceStore, decode_event_rows
-from repro.traces.trace import ExecutionTrace
+from repro.traces.store import (
+    ColumnExecution,
+    StoreBackedTrace,
+    StoreWriter,
+    TraceStore,
+)
+from repro.traces.trace import ExecutionLike
 
 #: Journal schema version.
 JOURNAL_FORMAT = 1
@@ -85,6 +95,8 @@ class ShardJournal:
         self._stream = None
         self._uncompacted = 0
         self._next_segment = 0
+        #: ``(segment, application) -> StoreBackedTrace`` read so far.
+        self._segment_traces: dict[tuple[int, str], StoreBackedTrace] = {}
         if self.path.exists():
             self._load()
         if provenance is not None:
@@ -250,41 +262,33 @@ class ShardJournal:
         os.replace(tmp_name, self.path)
 
     # -- replay --------------------------------------------------------
-    def _segment_store(self, index: int) -> TraceStore:
-        memo = getattr(self, "_segment_memo", None)
-        if memo is None:
-            memo = self._segment_memo = {}
-        store = memo.get(index)
-        if store is None:
+    def _segment_trace(self, index: int, application: str) -> StoreBackedTrace:
+        key = (index, application)
+        trace = self._segment_traces.get(key)
+        if trace is None:
             store = TraceStore(
                 self.shard_dir / _SEGMENT_DIR / f"seg-{index:05d}"
             )
-            memo[index] = store
-        return store
+            trace = self._segment_traces[key] = store.trace(application)
+        return trace
 
-    def _execution_from(self, record: dict) -> ExecutionTrace:
-        """Rebuild one journaled execution's event list."""
+    def _execution_from(self, record: dict) -> ExecutionLike:
+        """One journaled execution, as columns: its inline rows, or the
+        :class:`~repro.traces.store.StoredExecution` it was compacted to."""
         segment = record.get("segment")
         if segment is None:
-            events = decode_event_rows(
-                base64.b64decode(record["rows"])
+            return ColumnExecution(
+                str(record["application"]),
+                int(record["execution_index"]),
+                record["initial_pids"],
+                base64.b64decode(record["rows"]),
             )
-        else:
-            store = self._segment_store(int(segment["segment"]))
-            stored = store.trace(record["application"]).executions[
-                int(segment["pos"])
-            ]
-            events = list(stored.iter_events())
-        return ExecutionTrace(
-            application=str(record["application"]),
-            execution_index=int(record["execution_index"]),
-            events=events,
-            initial_pids=frozenset(
-                int(p) for p in record["initial_pids"]
-            ),
+        trace = self._segment_trace(
+            int(segment["segment"]), str(record["application"])
         )
+        return trace.executions[int(segment["pos"])]
 
-    def replay(self) -> Iterator[tuple[dict, ExecutionTrace]]:
+    def replay(self) -> Iterator[tuple[dict, ExecutionLike]]:
         """Yield ``(record, execution)`` in original processing order."""
         for record in self.records:
             yield record, self._execution_from(record)

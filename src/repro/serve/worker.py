@@ -11,12 +11,18 @@ decisions are therefore bit-identical to an offline replay of the same
 feed *by construction*; the equivalence battery cross-checks this
 against an actual :meth:`run_global` run rather than trusting it.
 
+A submitted execution stays columnar: its ``ROWS`` payload becomes a
+:class:`~repro.traces.store.ColumnExecution` (zero-copy column views,
+checked once), which the filter replays through its column path — the
+one store segments take — so no I/O event object is built.
+
 The worker journals each execution (fsync) **before** releasing its
 decision, so any decision a client ever saw is recoverable.  On start
 it replays the journal to rebuild its tables, and answers duplicate
 ``(client, client_seq)`` submissions from the journal — that is what
 makes client retries after a connection drop, and supervisor replays
-after a SIGKILL, idempotent.
+after a SIGKILL, idempotent.  Replayed executions are column views
+too: of the inline rows, or of the segment they were compacted to.
 
 The same class runs forked (:func:`worker_main` served over a
 ``multiprocessing`` pipe) or inline inside the daemon process when the
@@ -36,8 +42,8 @@ from repro.predictors.registry import PredictorSpec, make_spec
 from repro.sim.engine import run_global_execution
 from repro.sim.metrics import PredictionStats
 from repro.serve.state import ShardJournal
-from repro.traces.store import decode_event_rows
-from repro.traces.trace import ExecutionTrace
+from repro.traces.store import ColumnExecution
+from repro.traces.trace import ExecutionLike
 from repro._tracing import ShutdownFired
 
 
@@ -138,7 +144,7 @@ class ShardWorker:
         self.executions = count
         return count
 
-    def _run(self, execution: ExecutionTrace, application: str) -> dict:
+    def _run(self, execution: ExecutionLike, application: str) -> dict:
         """The offline code path, verbatim, for one execution."""
         spec = self._spec(application)
         filtered = filter_execution(execution, self.config.cache)
@@ -184,11 +190,8 @@ class ShardWorker:
         if previous is not None:
             return previous
         faults.serve_worker_gate(application)
-        execution = ExecutionTrace(
-            application=application,
-            execution_index=execution_index,
-            events=decode_event_rows(rows),
-            initial_pids=frozenset(int(p) for p in initial_pids),
+        execution = ColumnExecution(
+            application, execution_index, initial_pids, rows
         )
         decision = self._run(execution, application)
         decision["seq"] = client_seq

@@ -168,8 +168,9 @@ class ExperimentRunner:
         """Content fingerprint of one application's trace (memoized).
 
         Pre-seeded fingerprints (:meth:`declare_fingerprints`) win; a
-        trace that carries its own provenance digest (store-backed
-        traces expose ``fingerprint``) is next; otherwise the trace's
+        trace that carries its own provenance digest (``fingerprint``:
+        store-backed traces, and the in-memory traces a cache fill
+        builds) is next; otherwise the trace's
         events are hashed once and remembered.  Artifact-cache keys and
         checkpoint cell keys (:func:`repro.sim.resilience.cell_key`) are
         both derived from this value.

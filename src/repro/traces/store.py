@@ -34,7 +34,10 @@ once, :class:`StoreBackedTrace` holds only per-execution metadata, and
 :class:`~repro.traces.trace.ExecutionLike` streaming protocol.  The
 decoded events are **bit-identical** to the events that were packed:
 times round-trip as IEEE-754 doubles, all other fields are integers or
-enum codes.
+enum codes.  The same rows laid end to end are the serve protocol's
+``ROWS`` body (:func:`encode_event_rows`); :class:`ColumnExecution`
+holds one such payload as column views, so the serve path filters and
+packs it without decoding.
 
 Corruption handling mirrors the artifact cache: a missing, truncated, or
 undecodable store file is *quarantined* — renamed aside with a
@@ -154,6 +157,57 @@ def _decode_column_lists(
     return events
 
 
+def _check_codes(window: dict[str, np.ndarray], row_base: int) -> None:
+    """Reject a row window holding an unknown event type or kind code.
+
+    One vectorized ``max`` per code column; only a bad window pays for
+    locating its first bad row, which ``row_base`` labels.  Fork/exit
+    rows hold kind code 0, so the kind bound applies to every row.
+    """
+    for name, bound, what in (
+        ("etype", 3, "event type"),
+        ("kind", len(_KIND_BY_CODE), "access kind"),
+    ):
+        codes = window[name]
+        if len(codes) and int(codes.max()) >= bound:
+            row = int(np.argmax(codes >= bound))
+            raise TraceStoreError(
+                f"row {row_base + row}: unknown {what} code "
+                f"{int(codes[row])!r}"
+            )
+
+
+def _liveness_events(window: dict[str, np.ndarray]) -> list[TraceEvent]:
+    """The fork/exit rows of a checked window as events, in row order.
+
+    Built the way :func:`_decode_column_lists` builds them, without
+    decoding a single I/O row.
+    """
+    rows = np.flatnonzero(window["etype"])
+    new = object.__new__
+    put = object.__setattr__
+    events: list[TraceEvent] = []
+    for code, time, pid, parent in zip(*(
+        window[name][rows].tolist() for name in ("etype", "time", "pid", "aux")
+    )):
+        event = new(ForkEvent if code == 1 else ExitEvent)
+        put(event, "time", time)
+        put(event, "pid", pid)
+        if code == 1:
+            put(event, "parent_pid", parent)
+        events.append(event)
+    return events
+
+
+def _decode_window(
+    window: dict[str, np.ndarray], row_base: int
+) -> list[TraceEvent]:
+    """Event objects of a checked row window (columns in schema order)."""
+    return _decode_column_lists(
+        *(column.tolist() for column in window.values()), row_base
+    )
+
+
 class _ZeroRow:
     """Stands in for a fork/exit event when the I/O-only fields are read:
     those rows hold zeros (and kind code 0) in the store's columns."""
@@ -228,6 +282,15 @@ class _EventFields:
             for values, (_, spec) in zip(middle, COLUMNS[1:-1])
         ] + [aux]
 
+    def liveness(self) -> list[TraceEvent]:
+        """The fork/exit events, in order."""
+        return [self.events[i] for i in self.others]
+
+    def span(self) -> tuple[float, float]:
+        """Times of the first and last event (0.0 when empty)."""
+        events = self.events
+        return (events[0].time, events[-1].time) if events else (0.0, 0.0)
+
     def tuples(self) -> list[tuple]:
         """:func:`~repro.traces.events.event_tuple` of every event.
 
@@ -239,6 +302,57 @@ class _EventFields:
         tuples = list(zip(repeat("io"), *self.fields))
         for i in self.others:
             tuples[i] = event_tuple(self.events[i])
+        return tuples
+
+
+class _ColumnFields:
+    """:class:`_EventFields`'s view of an execution that has columns.
+
+    The execution's column windows, whose codes their producer checked,
+    are joined (one window, the serve path's case, is used as it is)
+    and no I/O row is decoded.  The fingerprint tuples are zipped from
+    the column lists and hold the same objects the event branch's
+    tuples hold, so pickling them gives the same bytes.
+    """
+
+    __slots__ = ("window", "others", "_liveness")
+
+    def __init__(self, chunks: Iterable[dict[str, np.ndarray]]) -> None:
+        chunks = list(chunks)
+        if len(chunks) == 1:
+            self.window = chunks[0]
+        else:
+            self.window = {
+                name: np.concatenate(
+                    [np.empty(0, dtype=spec)] + [c[name] for c in chunks]
+                )
+                for name, spec in COLUMNS
+            }
+        self.others = np.flatnonzero(self.window["etype"]).tolist()
+        self._liveness = _liveness_events(self.window)
+
+    def columns(self) -> list[np.ndarray]:
+        """The :data:`COLUMNS` arrays, in order."""
+        return list(self.window.values())
+
+    def liveness(self) -> list[TraceEvent]:
+        """The fork/exit events, in order."""
+        return self._liveness
+
+    def span(self) -> tuple[float, float]:
+        """Times of the first and last row (0.0 when empty)."""
+        times = self.window["time"]
+        if not len(times):
+            return 0.0, 0.0
+        return float(times[0]), float(times[-1])
+
+    def tuples(self) -> list[tuple]:
+        """:func:`~repro.traces.events.event_tuple` of every row."""
+        fields = [self.window[name].tolist() for name, _ in COLUMNS[1:-1]]
+        fields[4] = map(_KIND_VALUES.__getitem__, fields[4])
+        tuples = list(zip(repeat("io"), *fields))
+        for i, event in zip(self.others, self._liveness):
+            tuples[i] = event_tuple(event)
         return tuples
 
 
@@ -256,12 +370,12 @@ def encode_event_rows(events: Iterable[TraceEvent]) -> bytes:
     )
 
 
-def decode_event_rows(payload: bytes) -> list[TraceEvent]:
-    """Inverse of :func:`encode_event_rows` (bit-identical round trip).
+def _row_columns(payload: bytes) -> dict[str, np.ndarray]:
+    """Zero-copy column views of a row payload, grid and codes checked.
 
     Raises :class:`TraceStoreError` on any length that does not sit on
     the row grid — a truncated frame can never decode to a shorter
-    event list by accident.
+    event list by accident — and on an unknown type or kind code.
     """
     if len(payload) % EVENT_ROW_BYTES:
         raise TraceStoreError(
@@ -269,17 +383,94 @@ def decode_event_rows(payload: bytes) -> list[TraceEvent]:
             f"of the {EVENT_ROW_BYTES}-byte row size"
         )
     count = len(payload) // EVENT_ROW_BYTES
-    lists = []
+    columns: dict[str, np.ndarray] = {}
     offset = 0
-    for _, spec in COLUMNS:
+    for name, spec in COLUMNS:
         dtype = np.dtype(spec)
-        width = count * dtype.itemsize
-        lists.append(
-            np.frombuffer(payload, dtype=dtype, count=count,
-                          offset=offset).tolist()
+        columns[name] = np.frombuffer(
+            payload, dtype=dtype, count=count, offset=offset
         )
-        offset += width
-    return _decode_column_lists(*lists, 0)
+        offset += count * dtype.itemsize
+    _check_codes(columns, 0)
+    return columns
+
+
+def check_event_rows(payload: bytes) -> None:
+    """Raise :class:`TraceStoreError` unless ``payload`` is whole rows
+    holding only known type and kind codes (the serve daemon's check)."""
+    _row_columns(payload)
+
+
+def decode_event_rows(payload: bytes) -> list[TraceEvent]:
+    """Inverse of :func:`encode_event_rows` (bit-identical round trip).
+
+    Raises :class:`TraceStoreError` on a payload off the row grid or
+    holding an unknown type or kind code.
+    """
+    return _decode_window(_row_columns(payload), 0)
+
+
+class ColumnExecution:
+    """One execution held as column views of an in-memory row payload.
+
+    The serve path's form of a submitted execution (the ``ROWS`` body of
+    :func:`encode_event_rows`): each column is a zero-copy
+    ``np.frombuffer`` view of the payload, and the row grid and codes
+    are checked once, here.  Like :class:`StoredExecution`, it yields
+    its columns (:meth:`iter_column_chunks`) to the page-cache filter
+    and to :class:`StoreWriter`, and builds only its fork/exit rows as
+    events, so a shard worker replays and compacts it without an I/O
+    event object; :meth:`iter_events` decodes, for the API edge.
+
+    ``initial_pids`` is inserted in sorted order, as a compacted
+    segment's :class:`StoredExecution` inserts it, so the set iterates
+    alike whichever form the journal replays.
+    """
+
+    __slots__ = (
+        "application", "execution_index", "initial_pids", "columns",
+        "event_count", "start_time", "end_time", "_liveness",
+    )
+
+    def __init__(
+        self,
+        application: str,
+        execution_index: int,
+        initial_pids: Iterable[int],
+        rows: bytes,
+    ) -> None:
+        self.application = application
+        self.execution_index = execution_index
+        self.initial_pids = frozenset(sorted(int(p) for p in initial_pids))
+        self.columns = _row_columns(rows)
+        times = self.columns["time"]
+        self.event_count = len(times)
+        self.start_time = float(times[0]) if len(times) else 0.0
+        self.end_time = float(times[-1]) if len(times) else 0.0
+        self._liveness: Optional[list[TraceEvent]] = None
+
+    def liveness_events(self) -> list[TraceEvent]:
+        """Fork/exit events, built from their rows alone (memoized)."""
+        if self._liveness is None:
+            self._liveness = _liveness_events(self.columns)
+        return self._liveness
+
+    def lifetimes(self) -> dict[int, tuple[float, float]]:
+        """``pid -> (start, end)``, identical to the in-memory container."""
+        return process_lifetimes(
+            self.initial_pids,
+            self.start_time,
+            self.end_time,
+            self.liveness_events(),
+        )
+
+    def iter_column_chunks(self) -> Iterator[dict[str, np.ndarray]]:
+        """Yield the column views, as one window."""
+        yield self.columns
+
+    def iter_events(self) -> Iterator[TraceEvent]:
+        """Decode every event in row order (the API edge only)."""
+        return iter(_decode_window(self.columns, 0))
 
 
 def _quarantine(path: Path) -> Path:
@@ -370,27 +561,36 @@ class StoreWriter:
     def write_execution(self, execution) -> None:
         """Append one execution (any :class:`ExecutionLike`) to the store.
 
-        Events are consumed through ``iter_events()`` — an in-memory
-        :class:`~repro.traces.trace.ExecutionTrace` and a
-        :class:`StoredExecution` being re-packed both work — and must
-        already be in canonical order.
+        An execution with column views (``iter_column_chunks``: a
+        :class:`ColumnExecution` off the wire, a :class:`StoredExecution`
+        being re-packed) is written from its columns; any other, such as
+        an in-memory :class:`~repro.traces.trace.ExecutionTrace`, is
+        consumed through ``iter_events()``.  Events must already be in
+        canonical order.  Both branches write the same columns, manifest
+        entry and provenance fingerprint for the same events.
         """
         if self._closed:
             raise TraceStoreError("writer is closed")
         application = execution.application
         entry = self._app_state(application)
-        packed = _EventFields(execution.iter_events())
-        for (name, _), column in zip(COLUMNS, packed.columns()):
+        chunks = getattr(execution, "iter_column_chunks", None)
+        packed = (
+            _EventFields(execution.iter_events()) if chunks is None
+            else _ColumnFields(chunks())
+        )
+        columns = packed.columns()
+        for (name, _), column in zip(COLUMNS, columns):
             self._files[name].write(column.tobytes())
-        events = packed.events
-        rows = len(events)
-        io_rows = rows - len(packed.others)
+        rows = len(columns[0])
+        liveness = packed.liveness()
+        io_rows = rows - len(liveness)
         initial = sorted(execution.initial_pids)
         if application not in self._known:
             header = (execution.execution_index, tuple(initial), rows)
             self._digests[application].update(
                 pickle.dumps((header, packed.tuples()), _PICKLE_PROTOCOL)
             )
+        start_time, end_time = packed.span()
         entry["io_events"] += io_rows
         entry["executions"].append({
             "index": execution.execution_index,
@@ -398,10 +598,10 @@ class StoreWriter:
             "rows": rows,
             "io_rows": io_rows,
             "initial_pids": initial,
-            "start_time": events[0].time if rows else 0.0,
-            "end_time": events[-1].time if rows else 0.0,
+            "start_time": start_time,
+            "end_time": end_time,
             # ["fork", time, pid, parent] / ["exit", time, pid]
-            "liveness": [list(event_tuple(events[i])) for i in packed.others],
+            "liveness": [list(event_tuple(event)) for event in liveness],
         })
         self._rows += rows
 
@@ -541,11 +741,11 @@ class StoredExecution:
         fast path (:func:`repro.cache.filter.filter_execution`) consumes
         these directly, which is what lets a columnar replay tape be
         built from a store without per-chunk event decode.  Memory stays
-        bounded by the chunk grid exactly like :meth:`iter_event_chunks`.
+        bounded by the chunk grid exactly like :meth:`iter_event_chunks`,
+        and every window's codes are checked (:meth:`TraceStore.column_window`).
         """
-        cols = self._store.columns()
         for start, stop in self.chunk_windows():
-            yield {name: col[start:stop] for name, col in cols.items()}
+            yield self._store.column_window(start, stop)
 
     def iter_events(self) -> Iterator[TraceEvent]:
         """Iterate every event in canonical order, chunk by chunk."""
@@ -826,21 +1026,21 @@ class TraceStore:
         the store's row range — a silent short read is an off-by-one
         bug, not a smaller result.
         """
+        return _decode_window(self.column_window(start, stop), start)
+
+    def column_window(self, start: int, stop: int) -> dict[str, np.ndarray]:
+        """Zero-copy column views of rows ``[start, stop)``.
+
+        The type and kind codes are checked first, so a corrupt column
+        raises :class:`TraceStoreError` instead of decoding garbage.
+        """
         self._check_rows(start, stop)
-        cols = self.columns()
-        return _decode_column_lists(
-            cols["etype"][start:stop].tolist(),
-            cols["time"][start:stop].tolist(),
-            cols["pid"][start:stop].tolist(),
-            cols["pc"][start:stop].tolist(),
-            cols["fd"][start:stop].tolist(),
-            cols["kind"][start:stop].tolist(),
-            cols["inode"][start:stop].tolist(),
-            cols["block_start"][start:stop].tolist(),
-            cols["block_count"][start:stop].tolist(),
-            cols["aux"][start:stop].tolist(),
-            start,
-        )
+        window = {
+            name: column[start:stop]
+            for name, column in self.columns().items()
+        }
+        _check_codes(window, start)
+        return window
 
 
 def pack_jsonl(stream: IO[str], writer: StoreWriter) -> int:

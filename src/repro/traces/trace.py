@@ -21,7 +21,7 @@ code base and produce bit-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterable, Iterator, Optional, Protocol, runtime_checkable
 
 from repro.errors import TraceError
 from repro.traces.events import (
@@ -37,8 +37,11 @@ from repro.traces.events import (
 class ExecutionLike(Protocol):
     """What the filter and the engine need from one execution.
 
-    Implemented in-memory by :class:`ExecutionTrace` and on-disk by
-    :class:`~repro.traces.store.StoredExecution`.  ``iter_events`` must
+    Implemented in-memory by :class:`ExecutionTrace`, on-disk by
+    :class:`~repro.traces.store.StoredExecution`, and over one row
+    payload by :class:`~repro.traces.store.ColumnExecution`; the last
+    two also yield column views (``iter_column_chunks``), which the
+    filter and the store writer prefer to events.  ``iter_events`` must
     yield events in canonical order; ``liveness_events`` must return the
     (small) fork/exit subset, also in order.
     """
@@ -194,6 +197,10 @@ class ApplicationTrace:
 
     application: str
     executions: list[ExecutionTrace] = field(default_factory=list)
+    #: Provenance fingerprint known to whoever built the trace (a cache
+    #: fill sets the trace key that its warm runs read back from the
+    #: segment manifest); ``None`` lets consumers hash the events.
+    fingerprint: Optional[str] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for execution in self.executions:

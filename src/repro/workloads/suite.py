@@ -52,7 +52,7 @@ def build_application(
     skips generation entirely and gets the memory-mapped
     :class:`~repro.traces.store.StoreBackedTrace`, whose events are
     identical to a fresh build.  The process that fills the cache keeps
-    the in-memory trace it generated.
+    the in-memory trace it generated, fingerprinted by the same key.
     """
     if cache is not None:
         from repro.sim.artifact_cache import trace_key
@@ -64,6 +64,10 @@ def build_application(
                 application_spec(name), scale=scale
             )
             cache.put_trace(key, trace)
+            # Warm runs read the key back as the segment's fingerprint;
+            # keying this run's filter artifacts by it too makes a warm
+            # run hit them.
+            trace.fingerprint = key
         return trace
     return build_application_trace(application_spec(name), scale=scale)
 

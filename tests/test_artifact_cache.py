@@ -24,7 +24,7 @@ from repro.sim.experiment import ExperimentRunner
 from repro.traces.events import ForkEvent
 from repro.traces.store import StoreBackedTrace
 from repro.traces.trace import ApplicationTrace
-from repro.workloads import build_application
+from repro.workloads import build_application, build_suite
 from tests.helpers import single_process_execution
 
 
@@ -543,6 +543,33 @@ def test_parallel_suite_identical_with_cache(tmp_path):
         suite, config, artifact_cache=ArtifactCache(tmp_path)
     ).run_suite("PCAP", jobs=2)
     assert parallel == serial
+
+
+def test_fill_and_warm_runs_key_filter_artifacts_alike(tmp_path):
+    """A library caller of ``build_suite(cache=...)`` that declares no
+    fingerprints: the fill run keys its filter artifacts by the trace
+    key, which warm runs read back from the segment manifest, so the
+    first warm run finds every filter result."""
+    fill_cache = ArtifactCache(tmp_path)
+    fill = build_suite(scale=0.1, applications=("nedit",), cache=fill_cache)
+    assert fill["nedit"].fingerprint == trace_key("nedit", 0.1)
+    runner = ExperimentRunner(fill, SimulationConfig(),
+                              artifact_cache=fill_cache)
+    fill_results = runner.filtered("nedit")
+    executions = len(fill_results)
+    assert executions > 1
+    assert fill_cache.stats.stores == 1 + executions
+
+    warm_cache = ArtifactCache(tmp_path)
+    warm = build_suite(scale=0.1, applications=("nedit",), cache=warm_cache)
+    assert isinstance(warm["nedit"], StoreBackedTrace)
+    runner = ExperimentRunner(warm, SimulationConfig(),
+                              artifact_cache=warm_cache)
+    warm_results = [result for _, result in runner.iter_filtered("nedit")]
+    assert warm_cache.stats.hits == 1 + executions
+    assert warm_cache.stats.misses == 0
+    assert warm_cache.stats.stores == 0
+    assert warm_results == fill_results
 
 
 def test_declared_fingerprints_skip_content_hashing(tmp_path):

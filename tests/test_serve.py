@@ -18,6 +18,7 @@ The contracts under test:
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import socket
@@ -29,6 +30,7 @@ from repro.config import SimulationConfig
 from repro.errors import ServeError, ServeProtocolError
 from repro.predictors.registry import make_spec
 from repro.serve import protocol
+from repro.serve.client import control_request
 from repro.serve.harness import (
     run_scenario,
     spawn_daemon,
@@ -43,7 +45,8 @@ from repro.serve.worker import (
 )
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.metrics import PredictionStats
-from repro.traces.store import encode_event_rows
+from repro.traces import store as store_module
+from repro.traces.store import COLUMNS, StoreWriter, encode_event_rows
 from repro.traces.trace import ApplicationTrace
 from repro.workloads import build_suite
 
@@ -262,6 +265,105 @@ def test_worker_dedups_retries_and_recovers_from_journal(
     recovered.close()
 
 
+def test_worker_recovers_from_mixed_segments_and_inline_rows(
+        tmp_path, tiny_suite):
+    """A worker stopped without compacting leaves its last executions
+    inline in the journal, the earlier ones in segments; a restart
+    replays both kinds into the tables and stats of a worker that was
+    never stopped."""
+    config = SimulationConfig()
+    reference = ShardWorker(0, tmp_path / "reference", config=config)
+    interrupted = ShardWorker(0, tmp_path / "state", config=config,
+                              checkpoint_every=3)
+    for application in ("mozilla", "xemacs"):
+        for worker in (reference, interrupted):
+            _feed_worker(worker, tiny_suite, application, client=application)
+    interrupted.journal.close()  # no drain: the tail stays inline
+    kinds = {record.get("segment") is None
+             for record in interrupted.journal.records}
+    assert kinds == {True, False}
+
+    recovered = ShardWorker(0, tmp_path / "state", config=config,
+                            checkpoint_every=3)
+    assert recovered.recovered == interrupted.executions
+    assert recovered.tables() == reference.tables()
+    assert recovered.stats() == reference.stats()
+    recovered.close()
+    reference.close()
+
+
+def _segment_manifests(shard_dir):
+    return [
+        json.loads((segment / "manifest.json").read_text())
+        for segment in sorted((shard_dir / "segments").iterdir())
+    ]
+
+
+def test_compaction_packs_what_storewriter_packs_from_events(
+        tmp_path, tiny_suite):
+    """Compaction writes the received columns; its segments (manifests,
+    provenance fingerprints included, and column files) equal a
+    ``StoreWriter`` pack of the original event objects."""
+    shard_dir = tmp_path / "shard-0"
+    originals = []
+    with ShardJournal(shard_dir, checkpoint_every=3) as journal:
+        for application in ("mozilla", "xemacs"):
+            for execution in tiny_suite[application].executions:
+                journal.record_execution(
+                    client="c", client_seq=len(originals),
+                    application=application,
+                    execution_index=execution.execution_index,
+                    initial_pids=sorted(execution.initial_pids),
+                    rows=encode_event_rows(execution.events),
+                    decision={},
+                )
+                originals.append(execution)
+        journal.compact()
+    manifests = _segment_manifests(shard_dir)
+    assert len(manifests) == 2
+    packed = 0
+    for index, manifest in enumerate(manifests):
+        count = sum(len(entry["executions"])
+                    for entry in manifest["applications"].values())
+        reference = tmp_path / f"reference-{index}"
+        with StoreWriter(reference) as writer:
+            for execution in originals[packed:packed + count]:
+                writer.write_execution(execution)
+        packed += count
+        assert manifest == json.loads(
+            (reference / "manifest.json").read_text())
+        segment = shard_dir / "segments" / f"seg-{index:05d}"
+        for name, _ in COLUMNS:
+            column = f"columns/{name}.bin"
+            assert (segment / column).read_bytes() == \
+                (reference / column).read_bytes()
+    assert packed == len(originals)
+
+
+def test_serve_path_builds_no_io_event_objects(tmp_path, tiny_suite,
+                                              monkeypatch):
+    """Between a ROWS payload and a compacted segment nothing decodes
+    rows into event objects: processing, compaction and a restart's
+    replay all run with the row decoder disabled."""
+    expected = ShardWorker(0, tmp_path / "reference")
+    expected_decisions = _feed_worker(expected, tiny_suite, "mozilla")
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("rows were decoded into event objects")
+
+    monkeypatch.setattr(store_module, "_decode_column_lists", no_decode)
+    worker = ShardWorker(0, tmp_path / "state", checkpoint_every=2)
+    assert _feed_worker(worker, tiny_suite, "mozilla") == \
+        expected_decisions
+    worker.journal.close()
+    recovered = ShardWorker(0, tmp_path / "state", checkpoint_every=2)
+    assert recovered.tables() == expected.tables()
+    recovered.close()
+    assert not any(record.get("segment") is None
+                   for record in recovered.journal.records)
+    expected.close()
+
+
 # -- daemon end to end ------------------------------------------------
 
 @pytest.mark.slow
@@ -343,12 +445,31 @@ def test_daemon_backpressure_and_quarantine(tmp_path):
             assert ftype == protocol.NACK
             assert protocol.parse_json(payload)["code"] == \
                 protocol.NACK_MALFORMED
+        # Whole rows holding an unknown kind code are malformed too:
+        # the daemon rejects them before a worker can crash on them.
+        rows = bytearray(66 * 2)
+        rows[2 * 33 + 1] = 200  # row 1's kind byte (the sixth column)
+        with _raw_conn(socket_path, "poisoned") as sock:
+            sock.sendall(protocol.json_frame(protocol.EXEC_BEGIN, {
+                "application": "mozilla", "execution": 0, "seq": 0,
+                "initial_pids": [100],
+            }))
+            sock.sendall(protocol.encode_frame(protocol.ROWS, bytes(rows)))
+            sock.sendall(protocol.json_frame(protocol.EXEC_END, {}))
+            ftype, payload = protocol.read_frame(sock)
+            assert ftype == protocol.NACK
+            nack = protocol.parse_json(payload)
+            assert nack["code"] == protocol.NACK_MALFORMED
+            assert "unknown access kind code 200" in nack["detail"]
+        health = control_request(socket_path + ".ctl", "health")
+        assert all(shard["restarts"] == 0 for shard in health["shards"])
         corrupt = [
             name for name in os.listdir(os.path.join(state_dir,
                                                      "quarantine"))
             if name.endswith(".corrupt")
         ]
         assert any(name.startswith("mangled-") for name in corrupt)
+        assert any(name.startswith("poisoned-") for name in corrupt)
     finally:
         daemon.send_signal(signal.SIGTERM)
         daemon.wait(timeout=60.0)

@@ -13,17 +13,22 @@ import json
 import pickle
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro import faults
+from repro.cache.filter import filter_execution
 from repro.config import SimulationConfig
 from repro.errors import TraceStoreError
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.parallel import ParallelExperimentRunner
+from repro.traces.events import AccessType, ExitEvent, ForkEvent, IOEvent
 from repro.traces.io_format import write_application_trace
 from repro.traces.store import (
     COLUMNS,
+    EVENT_ROW_BYTES,
     MANIFEST_NAME,
+    ColumnExecution,
     StoreWriter,
     TraceStore,
     decode_event_rows,
@@ -31,6 +36,7 @@ from repro.traces.store import (
     pack_jsonl,
     pack_trace,
 )
+from repro.traces.trace import ExecutionTrace
 from repro.workloads import (
     APPLICATIONS,
     application_spec,
@@ -470,3 +476,150 @@ class TestChunkBoundaries:
             runner = ExperimentRunner(store.suite(), SimulationConfig())
             results.append(runner.run_global("nedit", "PCAP"))
         assert results[0] == results[1]
+
+
+def _every_kind_execution() -> ExecutionTrace:
+    """Fork and exit rows around one I/O row of every AccessType."""
+    events = [ForkEvent(time=0.5, pid=11, parent_pid=10)]
+    for i, kind in enumerate(AccessType):
+        events.append(IOEvent(
+            time=1.0 + 0.25 * i, pid=10 + i % 2, pc=0x1000 + 8 * i,
+            fd=3 + i, kind=kind, inode=40 + i, block_start=8 * i,
+            block_count=i % 3,
+        ))
+    events.append(ExitEvent(time=9.0, pid=11))
+    return ExecutionTrace("demo", 7, events, frozenset({10}))
+
+
+def _set_row_code(payload: bytes, column: str, row: int, code: int) -> bytes:
+    """A row payload with one ``u1`` code cell overwritten."""
+    rows = len(payload) // EVENT_ROW_BYTES
+    offset = 0
+    for name, spec in COLUMNS:
+        if name == column:
+            break
+        offset += rows * np.dtype(spec).itemsize
+    patched = bytearray(payload)
+    patched[offset + row] = code
+    return bytes(patched)
+
+
+class TestColumnExecution:
+    """The serve path's column-backed execution (``ColumnExecution``)."""
+
+    def test_iter_events_round_trips_every_row_kind(self):
+        trace = _every_kind_execution()
+        column = ColumnExecution(
+            "demo", 7, trace.initial_pids, encode_event_rows(trace.events)
+        )
+        assert list(column.iter_events()) == trace.events
+        assert column.event_count == len(trace.events)
+        assert (column.start_time, column.end_time) == (
+            trace.start_time, trace.end_time)
+        assert column.liveness_events() == trace.liveness_events()
+        assert column.lifetimes() == trace.lifetimes()
+        assert column.initial_pids == trace.initial_pids
+
+    def test_empty_payload(self):
+        column = ColumnExecution("demo", 0, [1], b"")
+        empty = ExecutionTrace("demo", 0, [], frozenset({1}))
+        assert list(column.iter_events()) == []
+        assert column.event_count == 0
+        assert (column.start_time, column.end_time) == (0.0, 0.0)
+        assert column.liveness_events() == []
+        assert column.lifetimes() == empty.lifetimes()
+        assert filter_execution(column) == filter_execution(empty)
+
+    def test_filter_and_lifetimes_match_the_event_objects(self, small_suite):
+        for mem in small_suite["mozilla"].executions[:4]:
+            column = ColumnExecution(
+                "mozilla", mem.execution_index, mem.initial_pids,
+                encode_event_rows(mem.events),
+            )
+            assert filter_execution(column) == filter_execution(mem)
+            assert column.lifetimes() == mem.lifetimes()
+
+    def test_payload_off_the_row_grid_is_rejected(self):
+        payload = encode_event_rows(_every_kind_execution().events)
+        with pytest.raises(TraceStoreError, match="row size"):
+            ColumnExecution("demo", 7, [10], payload[:-1])
+
+    @pytest.mark.parametrize(("column", "code", "message"), [
+        ("kind", len(AccessType), "unknown access kind code 6"),
+        ("kind", 0xFF, "unknown access kind code 255"),
+        ("etype", 3, "unknown event type code 3"),
+    ])
+    def test_bad_code_in_a_frame_is_a_typed_error(self, column, code,
+                                                  message):
+        payload = _set_row_code(
+            encode_event_rows(_every_kind_execution().events),
+            column, 2, code,
+        )
+        with pytest.raises(TraceStoreError, match=f"row 2: {message}"):
+            decode_event_rows(payload)
+        with pytest.raises(TraceStoreError, match=f"row 2: {message}"):
+            ColumnExecution("demo", 7, [10], payload)
+
+    def test_corrupt_kind_column_in_a_store_is_a_typed_error(self, tmp_path):
+        store_dir = tmp_path / "store"
+        store = pack_generated(
+            store_dir, scale=0.25, applications=("nedit",), chunk_rows=256
+        )
+        stored = store.trace("nedit").executions[0]
+        row = stored.row_start + stored.event_count // 2
+        with open(store_dir / "columns" / "kind.bin", "r+b") as stream:
+            stream.seek(row)
+            stream.write(bytes([0xFF]))
+        execution = TraceStore(store_dir).trace("nedit").executions[0]
+        with pytest.raises(TraceStoreError, match="access kind code 255"):
+            filter_execution(execution)
+        with pytest.raises(TraceStoreError, match="access kind code 255"):
+            list(execution.iter_events())
+
+
+class TestColumnPacking:
+    """``StoreWriter.write_execution``'s column branch writes the bytes
+    its event branch writes for the same events."""
+
+    @staticmethod
+    def _store_bytes(path) -> dict[str, bytes]:
+        files = {"manifest": (path / MANIFEST_NAME).read_bytes()}
+        for name, _ in COLUMNS:
+            files[name] = (path / "columns" / f"{name}.bin").read_bytes()
+        return files
+
+    def _pack(self, path, executions, **kwargs):
+        with StoreWriter(path, **kwargs) as writer:
+            for execution in executions:
+                writer.write_execution(execution)
+        return self._store_bytes(path)
+
+    def test_column_execution_packs_like_its_events(self, tmp_path,
+                                                    small_suite):
+        originals = [_every_kind_execution(),
+                     ExecutionTrace("demo", 8, [], frozenset({3}))]
+        originals += [
+            ExecutionTrace("demo", 9 + i, list(mem.events),
+                           mem.initial_pids)
+            for i, mem in enumerate(small_suite["xemacs"].executions[:3])
+        ]
+        columns = [
+            ColumnExecution(mem.application, mem.execution_index,
+                            mem.initial_pids, encode_event_rows(mem.events))
+            for mem in originals
+        ]
+        for kwargs in ({}, {"fingerprints": {"demo": "f" * 40}}):
+            tag = "known" if kwargs else "hashed"
+            assert self._pack(tmp_path / f"events-{tag}", originals,
+                              **kwargs) == \
+                self._pack(tmp_path / f"columns-{tag}", columns, **kwargs)
+
+    def test_repacking_a_multi_chunk_store_is_exact(self, tmp_path):
+        trace = build_application_trace(application_spec("nedit"),
+                                        scale=0.25)
+        source = tmp_path / "source"
+        self._pack(source, trace, chunk_rows=97)
+        stored = TraceStore(source).trace("nedit")
+        assert any(len(e.chunk_windows()) > 1 for e in stored)
+        assert self._pack(tmp_path / "repacked", stored, chunk_rows=97) == \
+            self._store_bytes(source)

@@ -90,3 +90,67 @@ def test_cli_svg_output(tmp_path, capsys):
     assert code == 0
     root = ET.fromstring(out.read_text())
     assert root.tag.endswith("svg")
+
+
+def test_label_escaping_is_byte_identical_to_xml_escape(monkeypatch):
+    """``html.escape(..., quote=False)`` escapes exactly what
+    ``xml.sax.saxutils.escape`` does, so labels holding ``&<>`` (and
+    quotes, which neither touches) render to the same bytes."""
+    from xml.sax.saxutils import escape as xml_escape
+
+    from repro.analysis import svg_charts
+
+    label = "R&D <\"x'> & >"
+    figure = {
+        label: {
+            label: AccuracyBar(
+                application=label, predictor=label, hit=0.5, miss=0.1,
+                not_predicted=0.4, hit_primary=0.5, hit_backup=0.0,
+                miss_primary=0.1, miss_backup=0.0, opportunities=10,
+            ),
+        },
+    }
+    energy = {
+        label: {
+            label: EnergyBar(
+                application=label, predictor=label, busy=0.1,
+                idle_short=0.2, idle_long=0.3, power_cycle=0.1,
+                savings=0.3,
+            ),
+        },
+    }
+    svgs = (render_accuracy_svg(figure, label), render_energy_svg(energy))
+    monkeypatch.setattr(svg_charts, "escape",
+                        lambda text, quote=False: xml_escape(text))
+    assert render_accuracy_svg(figure, label) == svgs[0]
+    assert render_energy_svg(energy) == svgs[1]
+    assert "R&amp;D &lt;\"x'&gt; &amp; &gt;" in svgs[0]
+    ET.fromstring(svgs[0])
+    ET.fromstring(svgs[1])
+
+
+def test_cli_import_skips_the_network_stack():
+    """The SVG escaper must not pull ``urllib``/``http``/``ssl`` into
+    every ``repro`` process (the serve daemon included)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        str(Path(repro.__file__).resolve().parents[1]),
+        env.get("PYTHONPATH"),
+    )))
+    probe = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        check=True, env=env, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

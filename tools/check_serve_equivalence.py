@@ -25,6 +25,14 @@ service machinery (sharding, supervision, restarts, retries, recovery)
 added or lost nothing.  The health endpoint must also have reported
 the worker restarts and the injected connection drop.
 
+Independently of the decisions, every journaled execution is read back
+through :meth:`repro.serve.state.ShardJournal.replay` and must equal
+the feed execution it came from, event for event: once from a copy of
+the state directory taken before the drain (executions in compacted
+segments plus an inline tail) and once from the drained state (all
+compacted).  That checks the journal's row storage and the compaction
+that rewrites it into trace-store segments.
+
 Scale defaults to 0.2 (override with ``REPRO_SERVE_SCALE``) to stay
 inside the CI smoke budget.
 
@@ -34,12 +42,14 @@ Run:  PYTHONPATH=src python tools/check_serve_equivalence.py
 from __future__ import annotations
 
 import os
+import shutil
 import sys
 import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.serve.harness import run_scenario, verify_equivalence
+from repro.serve.state import ShardJournal
 
 CLIENTS = int(os.environ.get("REPRO_SERVE_CLIENTS", "8"))
 SCALE = float(os.environ.get("REPRO_SERVE_SCALE", "0.2"))
@@ -54,6 +64,47 @@ FAULT_PLAN = (
 )
 
 
+def journal_readback(state_dir: str, feed: dict) -> tuple[int, int, list]:
+    """Replay every shard journal under ``state_dir`` against ``feed``.
+
+    Returns ``(inline, compacted, problems)``: how many executions were
+    read from inline rows and from segments, and every execution that
+    differs from (or is missing from) the recorded feed.
+    """
+    expected = {
+        (application, execution.execution_index): execution
+        for application, executions in feed.items()
+        for execution in executions
+    }
+    seen: set = set()
+    inline = compacted = 0
+    problems: list[str] = []
+    for shard in sorted(os.listdir(state_dir)):
+        if not shard.startswith("shard-"):
+            continue
+        with ShardJournal(os.path.join(state_dir, shard)) as journal:
+            for record, execution in journal.replay():
+                if record.get("segment") is None:
+                    inline += 1
+                else:
+                    compacted += 1
+                key = (record["application"], record["execution_index"])
+                label = f"{shard} {key[0]}#{key[1]}"
+                original = expected.get(key)
+                if original is None or key in seen:
+                    problems.append(f"{label}: not one feed execution")
+                    continue
+                seen.add(key)
+                if (list(execution.iter_events()) != original.events
+                        or execution.initial_pids != original.initial_pids):
+                    problems.append(f"{label}: rows differ from the feed")
+    problems.extend(
+        f"{application}#{index}: not journaled"
+        for application, index in sorted(set(expected) - seen)
+    )
+    return inline, compacted, problems
+
+
 def main() -> int:
     failures: list[str] = []
 
@@ -65,6 +116,7 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory(prefix="serve-equiv-") as tmp:
         state_dir = os.path.join(tmp, "state")
+        live_dir = os.path.join(tmp, "state-before-drain")
         scenario = run_scenario(
             socket_path=os.path.join(tmp, "serve.sock"),
             state_dir=state_dir,
@@ -74,6 +126,10 @@ def main() -> int:
             stall_timeout=5.0,
             fault_plan=FAULT_PLAN,
             kill_worker_after=3,
+            before_drain=lambda: shutil.copytree(
+                state_dir, live_dir,
+                ignore=shutil.ignore_patterns("quarantine"),
+            ),
         )
 
         check("all clients completed without errors",
@@ -100,6 +156,20 @@ def main() -> int:
             print(f"      {mismatch}")
         check("decisions and tables bit-identical to the offline replay",
               not mismatches, f"{len(mismatches)} mismatch(es)")
+
+        # Before the drain each shard's tail is inline; the drain
+        # compacts it, so afterwards every execution is in a segment.
+        for label, directory, tail in (
+                ("before the drain", live_dir, True),
+                ("after the drain", state_dir, False)):
+            inline, compacted, problems = journal_readback(
+                directory, scenario.feed)
+            for problem in problems:
+                print(f"      {problem}")
+            check(f"journal replay {label} matches the feed event for "
+                  f"event ({compacted} from segments, {inline} inline)",
+                  not problems and compacted > 0 and (inline > 0) == tail,
+                  f"{len(problems)} problem(s)")
 
         expected = 0
         for application, executions in scenario.feed.items():
